@@ -240,6 +240,10 @@ def _pooled_files(
     files: list[dict[str, Any] | None] = [None] * len(names)
     for chunk, future in submissions:
         for index, record in zip(chunk, future.result()):
+            # Records arrive as fresh copies: point them at the caller's
+            # path string, so a caller holding many reports does not pay
+            # for each path once per report.
+            record["path"] = names[index]
             files[index] = record
     return files  # type: ignore[return-value]
 

@@ -241,13 +241,15 @@ def _worker_main(
         _HotVerdicts(cache) if (use_verdict_cache and cache_dir) else None
     )
     bulk._WORKER["obs_mark"] = None  # deltas are per batch, not per file
-    if binding.schema.uses_namespaces:
-        from repro.xsd.stream import StreamingValidator
+    # One validator serves both task kinds, so its per-schema memos warm
+    # up once: namespaced batch files (which bypass the typed ingest
+    # lanes) and posted documents.
+    from repro.xsd.stream import StreamingValidator
 
-        bulk._WORKER["streaming"] = StreamingValidator(binding.schema)
-    else:
-        bulk._WORKER["streaming"] = None
-    validator = None
+    validator = StreamingValidator(binding.schema)
+    bulk._WORKER["streaming"] = (
+        validator if binding.schema.uses_namespaces else None
+    )
     crash_marker = os.environ.get(CRASH_ENV) or None
     empty_polls = 0
     while True:
@@ -275,10 +277,6 @@ def _worker_main(
                 records.append(bulk._validate_one(path))
             result: Any = records
         else:  # "text"
-            if validator is None:
-                from repro.xsd import StreamingValidator
-
-                validator = StreamingValidator(binding.schema)
             result = _validate_text_task(validator, payload)
         delta = None
         if mark is not None:

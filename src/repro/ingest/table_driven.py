@@ -50,63 +50,17 @@ from repro.ingest.fused import (
     _Frame,
     fused_parse,
 )
-from repro.xml.chars import char_class
-from repro.xml.entities import PREDEFINED_ENTITIES, decode_char_reference
-
-
-class _Restart(Exception):
-    """Internal: the document left the turbo subset; re-run fused."""
-
-    __slots__ = ("reason",)
-
-    def __init__(self, reason: str):
-        self.reason = reason
-
-
-#: XML white space minus ``\r`` (any ``\r`` restarts: §2.11 line-ending
-#: normalization is the fused route's business)
-_WS = r"[ \t\n]"
-
-#: ASCII-only strict subset of the XML Name production — any name the
-#: turbo lane accepts is a valid XML Name; names outside the subset
-#: simply fail to match and restart into the fused route
-_NAME = r"[A-Za-z_][A-Za-z0-9._:\-]*"
-
-#: zero or more complete attributes: double-quoted values containing no
-#: references, no ``<``, and no normalizable white space — exactly the
-#: contract of the scanning parser's quick path, so raw values need no
-#: further processing
-_ATTR_BLOB = rf'(?:{_WS}+{_NAME}{_WS}*={_WS}*"[^"&<\t\n\r]*")*'
-
-#: the master tokenizer: one alternation, one C-level ``match`` per
-#: token.  ``lastindex`` dispatches: 1 = text run, 4 = start tag
-#: (2 = name, 3 = attribute blob, 4 = self-closing flag), 5 = end tag,
-#: 6 = reference body.
-_TOKEN = re.compile(
-    rf"([^<&]+)"
-    rf"|<({_NAME})({_ATTR_BLOB}){_WS}*(/?)>"
-    rf"|</({_NAME}){_WS}*>"
-    rf"|&(#[0-9]+|#x[0-9A-Fa-f]+|{_NAME});"
+from repro.xml.turbo import (
+    _ATTR_BLOB,
+    _NAME,
+    _TOKEN,
+    _WS,
+    _attribute_pairs,
+    _decode_reference,
+    _Restart,
+    _subset_start,
 )
 
-#: one attribute inside an already-validated blob
-_ATTR = re.compile(rf'({_NAME}){_WS}*={_WS}*"([^"]*)"')
-
-#: a strict subset of the XML declaration grammar; declarations outside
-#: it leave ``<?`` in the text and the hazard scan restarts
-_XML_DECL = re.compile(
-    rf'<\?xml{_WS}+version{_WS}*={_WS}*"1\.0"'
-    rf'(?:{_WS}+encoding{_WS}*={_WS}*"[A-Za-z][A-Za-z0-9._\-]*")?'
-    rf'(?:{_WS}+standalone{_WS}*={_WS}*"(?:yes|no)")?'
-    rf"{_WS}*\?>"
-)
-
-#: anything that forces the fused route, found in one pre-scan:
-#: markup declarations / PIs / CDATA / comments (``<!``, ``<?``),
-#: ``]]>`` (an error in content, legal only in constructs we restart on
-#: anyway), any ``\r`` (line-ending normalization), any character
-#: outside the XML Char production (identical illegality verdicts)
-_HAZARD = re.compile(f"<[!?]|]]>|\r|[^{char_class()}]")
 
 #: tag body for the index lane: ``/name`` (end) or ``name attrs /?``
 _TAG_BODY = re.compile(rf"/({_NAME}){_WS}*|({_NAME})({_ATTR_BLOB}){_WS}*(/?)")
@@ -153,14 +107,7 @@ def table_parse(
 def _turbo_parse(
     binding: Binding, text: str, lane: str
 ) -> tuple[TypedElement, str]:
-    if text.startswith("﻿"):
-        text = text[1:]
-    pos = 0
-    declaration = _XML_DECL.match(text)
-    if declaration is not None:
-        pos = declaration.end()
-    if _HAZARD.search(text, pos) is not None:
-        raise _Restart("hazard")
+    text, pos = _subset_start(text)
     if lane == "index":
         index = structural.markup_index(text, pos)
         if index is None:
@@ -186,36 +133,15 @@ def _dispatch_table(binding: Binding) -> dict:
     return dispatch
 
 
-def _decode_reference(body: str) -> str:
-    """Replacement text for ``&body;`` — restart on anything the event
-    parser would have to error on or expand from a DTD."""
-    if body[0] == "#":
-        try:
-            return decode_char_reference(body)
-        except XmlSyntaxError:
-            raise _Restart("character reference")
-    replacement = PREDEFINED_ENTITIES.get(body)
-    if replacement is None:
-        # A general entity: only a DTD could define it, and DOCTYPE is
-        # outside the turbo subset.
-        raise _Restart("entity reference")
-    return replacement
-
-
 def _parse_attributes(blob: str) -> list[tuple[str, str]]:
     """Attribute pairs from a regex-validated blob, ``xmlns`` filtered.
 
     Duplicate names are a well-formedness error even in subtrees the
     typed walk skips, so the check runs before any filtering.
     """
-    attributes = _ATTR.findall(blob)
-    if len(attributes) > 1:
-        seen = set()
-        for name, _ in attributes:
-            if name in seen:
-                raise _Restart("duplicate attribute")
-            seen.add(name)
-    return [pair for pair in attributes if not pair[0].startswith("xmlns")]
+    return [
+        pair for pair in _attribute_pairs(blob) if not pair[0].startswith("xmlns")
+    ]
 
 
 def _scan_regex(binding: Binding, text: str, pos: int) -> TypedElement:

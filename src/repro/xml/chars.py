@@ -15,6 +15,7 @@ independent of the Python unicode database version.
 from __future__ import annotations
 
 import functools
+import re
 
 # NameStartChar ranges, XML 1.0 5th edition production [4].
 _NAME_START_RANGES: tuple[tuple[int, int], ...] = (
@@ -90,23 +91,17 @@ def is_name_char(char: str) -> bool:
 
 def is_name(text: str) -> bool:
     """Return ``True`` if *text* matches the ``Name`` production."""
-    if not text:
-        return False
-    if not is_name_start_char(text[0]):
-        return False
-    return all(is_name_char(char) for char in text[1:])
+    return _NAME_MATCH(text) is not None
 
 
 def is_ncname(text: str) -> bool:
     """Return ``True`` for a Name with no colon (Namespaces production 4)."""
-    return is_name(text) and ":" not in text
+    return _NAME_MATCH(text) is not None and ":" not in text
 
 
 def is_nmtoken(text: str) -> bool:
     """Return ``True`` if *text* matches the ``Nmtoken`` production."""
-    if not text:
-        return False
-    return all(is_name_char(char) for char in text)
+    return _NMTOKEN_MATCH(text) is not None
 
 
 def _ranges_to_class(ranges: tuple[tuple[int, int], ...]) -> str:
@@ -144,6 +139,13 @@ def name_char_class() -> str:
 def char_class() -> str:
     """Regex-class body matching the ``Char`` production (legal chars)."""
     return _ranges_to_class(_CHAR_RANGES)
+
+
+#: whole-string matchers for the name productions, compiled once from the
+#: same ranges as the per-character predicates above (``fullmatch``, so a
+#: trailing newline never passes the way ``$`` would let it)
+_NAME_MATCH = re.compile(f"[{name_start_class()}][{name_char_class()}]*").fullmatch
+_NMTOKEN_MATCH = re.compile(f"[{name_char_class()}]+").fullmatch
 
 
 def collapse_whitespace(text: str) -> str:

@@ -1,12 +1,35 @@
-"""Streaming schema validation over parser events.
+"""Streaming schema validation: one verdict walker, two feeders.
 
-Validates a document straight off the pull parser's event stream — no
-DOM is built, memory stays proportional to element depth rather than
-document size.  Functionally equivalent to
-:class:`repro.xsd.validator.SchemaValidator` on the supported feature
-set (the benchmarks assert agreement); it is the validation mode a
-server would use for *incoming* documents before unmarshalling, and an
-ablation partner for the DOM-based walk.
+Validates a document without building a DOM — memory stays
+proportional to element depth rather than document size.  Functionally
+equivalent to :class:`repro.xsd.validator.SchemaValidator` on the
+supported feature set (the benchmarks assert agreement); it is the
+validation mode a server uses for *incoming* documents before
+unmarshalling, and an ablation partner for the DOM-based walk.
+
+One walker does the validity work: the ``_start`` / ``_push`` /
+``_characters`` / ``_end`` handlers take a lexical name, attribute
+pairs and a position, so every validity check and every message exists
+once.  Two feeders drive it:
+
+* **the turbo feeder** (:meth:`StreamingValidator.validate_text`) reads
+  tokens straight off the source text with the scanner grammar of
+  :mod:`repro.xml.turbo` — no ``Event``, no ``Location``, no iterator
+  round-trip per token.  Positions are plain offsets; a
+  :class:`~repro.errors.Location` and an instance path are only built
+  when an error is recorded.  A document that leaves the turbo subset
+  (a hazard, a tokenizer miss, a tag mismatch, a duplicate attribute,
+  stray text) raises the internal restart: its partial verdict is
+  discarded and it is re-run through the event feeder, so syntax errors
+  and their precedence over validity errors stay exactly as
+  :class:`~repro.xml.parser.PullParser` reports them.
+* **the event feeder** (:meth:`StreamingValidator.validate_events`)
+  walks any ``PullParser`` event stream.
+
+Schema facts — content type, content model, effective attribute uses,
+the simple type checking the text, the fixed value, the abstract flag —
+are derived once per (declaration, effective type) pair, not per
+element.
 
 Namespaces are tracked as a stack of in-scope ``xmlns`` bindings pushed
 per start tag: element and attribute names resolve to expanded names and
@@ -20,6 +43,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from repro import obs
 from repro.errors import SimpleTypeError, ValidationError
 from repro.xml.events import (
     Characters,
@@ -29,6 +53,14 @@ from repro.xml.events import (
 )
 from repro.xml.parser import PullParser
 from repro.xml.qname import XML_NAMESPACE, XSI_NAMESPACE
+from repro.xml.reader import Reader
+from repro.xml.turbo import (
+    _TOKEN,
+    _attribute_pairs,
+    _decode_reference,
+    _Restart,
+    _subset_start,
+)
 from repro.xsd.components import (
     ANY_TYPE,
     ComplexType,
@@ -39,45 +71,121 @@ from repro.xsd.components import (
 )
 from repro.xsd.simple import SimpleType
 
+#: attribute classes besides "schema-checked under this key":
+#: namespace declarations and XSI attributes other than ``xsi:type``
+_IGNORED = object()
+#: an attribute naming ``xsi:type`` (by resolved namespace)
+_XSI_TYPE = object()
+
+
+class _Facts:
+    """What one (declaration, effective type) pair asks of an element.
+
+    None of it depends on the instance, so it is derived once per pair
+    and memoized on the validator.
+    """
+
+    __slots__ = (
+        "name",
+        "type_definition",
+        "skip",
+        "abstract",
+        "model",
+        "uses",
+        "required",
+        "simple",
+        "fixed",
+        "collects",
+        "text_kind",
+    )
+
+    def __init__(
+        self,
+        declaration: ElementDeclaration,
+        type_definition,
+        schema: Schema,
+        use_tables: bool,
+    ):
+        #: the declaration's expanded name, as diagnostics print it
+        self.name = declaration.key
+        self.type_definition = type_definition
+        #: inside anyType: accept everything below
+        self.skip = type_definition is ANY_TYPE
+        self.abstract = False
+        #: content model (DfaTable, or object Dfa) for element/mixed content
+        self.model = None
+        #: effective attribute uses; ``None`` for simple types
+        self.uses = None
+        self.required: tuple[str, ...] = ()
+        #: the simple type the element's text must satisfy
+        self.simple: SimpleType | None = None
+        self.fixed = declaration.fixed
+        #: "element-only content" / "empty content" when text is an error
+        self.text_kind: str | None = None
+        if isinstance(type_definition, ComplexType):
+            if not self.skip:
+                self.abstract = type_definition.abstract
+                content_type = type_definition.content_type
+                if content_type in (ContentType.ELEMENT_ONLY, ContentType.MIXED):
+                    self.model = (
+                        schema.content_table(type_definition)
+                        if use_tables
+                        else schema.content_dfa(type_definition)
+                    )
+                if content_type is ContentType.ELEMENT_ONLY:
+                    self.text_kind = "element-only content"
+                elif content_type is ContentType.EMPTY:
+                    self.text_kind = "empty content"
+                elif content_type is ContentType.SIMPLE:
+                    assert type_definition.simple_content is not None
+                    self.simple = type_definition.simple_content
+                self.uses = type_definition.effective_attribute_uses()
+                self.required = tuple(
+                    key for key, use in self.uses.items() if use.required
+                )
+        else:
+            self.simple = type_definition
+        self.collects = self.simple is not None or self.fixed is not None
+
 
 class _Frame:
     """Validation state for one open element."""
 
-    __slots__ = (
-        "declaration",
-        "type_definition",
-        "matcher",
-        "content_type",
-        "text",
-        "path",
-        "skip",
-    )
+    __slots__ = ("key", "facts", "matcher", "text")
 
-    def __init__(self, declaration, type_definition, matcher, content_type, path, skip):
-        self.declaration = declaration
-        self.type_definition = type_definition
-        self.matcher = matcher
-        self.content_type = content_type
-        self.text: list[str] = []
-        self.path = path
-        self.skip = skip  # inside anyType: accept everything below
+    def __init__(self, key: str, facts: _Facts):
+        self.key = key
+        self.facts = facts
+        #: content-model matcher (table or object DFA) for element/mixed content
+        self.matcher = None if facts.model is None else facts.model.matcher()
+        self.text: list[str] | None = [] if facts.collects else None
 
 
-class _EventNamespaces:
-    """In-scope ``xmlns`` bindings, one frame per open element.
+#: stands for an unexpected or ``anyType`` element and everything below
+#: it: nothing there is checked, so nothing about it is kept (its slots
+#: stay unset — the handlers test identity before touching a frame)
+_SKIP = _Frame.__new__(_Frame)
 
-    Frames without declarations share their parent's dict, so the common
-    case (namespace-free documents, or declarations only on the root)
-    costs one list append per element.
+
+class _Scope:
+    """In-scope ``xmlns`` bindings of one element, with name memos.
+
+    Elements without declarations share their parent's scope, so the
+    common case (namespace-free documents, or declarations only on the
+    root) resolves each distinct name once per document.
     """
 
-    __slots__ = ("_stack",)
+    __slots__ = ("bindings", "elements", "attributes")
 
-    def __init__(self) -> None:
-        self._stack: list[dict[str, str]] = [{"xml": XML_NAMESPACE}]
+    def __init__(self, bindings: dict[str, str]):
+        self.bindings = bindings
+        #: lexical element name -> key it matches schema components under
+        self.elements: dict[str, str] = {}
+        #: lexical attribute name -> key, ``_IGNORED`` or ``_XSI_TYPE``
+        self.attributes: dict[str, object] = {}
 
-    def push(self, attributes: tuple[tuple[str, str], ...]) -> None:
-        top = self._stack[-1]
+    def enter(self, attributes) -> _Scope:
+        """The scope of an element carrying *attributes*."""
         overrides: dict[str, str] | None = None
         for name, value in attributes:
             if name == "xmlns":
@@ -86,438 +194,491 @@ class _EventNamespaces:
             elif name.startswith("xmlns:"):
                 overrides = overrides or {}
                 overrides[name[len("xmlns:") :]] = value
-        self._stack.append({**top, **overrides} if overrides else top)
+        if overrides is None:
+            return self
+        return _Scope({**self.bindings, **overrides})
 
-    def pop(self) -> None:
-        self._stack.pop()
 
-    def get(self, prefix: str) -> str | None:
-        return self._stack[-1].get(prefix)
+class _Walk:
+    """One document's walk: open frames, errors, and positions.
+
+    A position is the event's :class:`~repro.errors.Location` on the
+    event feeder and a plain offset into *text* on the turbo feeder;
+    the offset becomes a ``Location`` only when an error is recorded,
+    through the same :class:`~repro.xml.reader.Reader` arithmetic the
+    event parser uses.
+    """
+
+    __slots__ = ("stack", "errors", "_text", "_reader")
+
+    def __init__(self, text: str | None = None):
+        self.stack: list[_Frame] = []
+        self.errors: list[ValidationError] = []
+        self._text = text
+        self._reader: Reader | None = None
+
+    def path(self, leaf: str | None = None) -> str:
+        """Instance path of the open elements (plus *leaf*)."""
+        keys = [frame.key for frame in self.stack]
+        if leaf is not None:
+            keys.append(leaf)
+        return "/" + "/".join(keys)
+
+    def error(self, message: str, where=None, path: str | None = None) -> None:
+        if where is not None and self._text is not None:
+            reader = self._reader
+            if reader is None:
+                reader = self._reader = Reader(self._text)
+            reader.offset = where
+            where = reader.location()
+        self.errors.append(ValidationError(message, where, path=path))
 
 
 class StreamingValidator:
-    """Validate event streams against one schema.
+    """Validate documents or event streams against one schema.
 
     Content models are stepped through flat integer transition tables
-    (:class:`repro.automata.DfaTable`) by default; ``use_tables=False``
-    selects the object-DFA matchers instead.  Both routes produce
-    identical verdicts, messages, and orderings (the parity suite holds
-    them together) — the flag exists so tests can pin the golden
-    reference route.
+    (:class:`repro.automata.DfaTable`) off the turbo scanner by default;
+    ``use_tables=False`` selects the reference route instead: every
+    document through :class:`~repro.xml.parser.PullParser` events and
+    the object-DFA matchers.  Both routes produce identical verdicts,
+    messages, locations, and orderings (the parity suite holds them
+    together) — the flag exists so tests can pin the golden reference
+    route.
     """
 
     def __init__(self, schema: Schema, *, use_tables: bool = True):
         self._schema = schema
         self._use_tables = use_tables
         self._namespaced = schema.uses_namespaces
+        #: id(declaration), or (id(declaration), id(xsi:type)) -> facts
+        self._facts: dict[object, _Facts] = {}
 
     # -- entry points ---------------------------------------------------------
 
     def validate_text(self, text: str) -> list[ValidationError]:
-        """Parse and validate in one streaming pass."""
-        return self.validate_events(PullParser(text))
+        """Parse and validate in one streaming pass.
+
+        Raises :class:`~repro.errors.XmlSyntaxError` for a document that
+        is not well-formed, exactly as the event parser would.
+        """
+        if not self._use_tables:
+            return self.validate_events(PullParser(text))
+        with obs.span("xsd.stream.validate"):
+            try:
+                errors = self._walk_text(text)
+            except _Restart as restart:
+                obs.count("xsd.stream", outcome="restart", reason=restart.reason)
+                errors = self._walk_events(PullParser(text))
+            else:
+                obs.count("xsd.stream", lane="turbo")
+        return _counted(errors)
 
     def validate_events(self, events: Iterable[Event]) -> list[ValidationError]:
-        from repro import obs
-
-        errors: list[ValidationError] = []
-        stack: list[_Frame] = []
-        namespaces = _EventNamespaces()
+        """Validate a :class:`~repro.xml.parser.PullParser` event stream."""
         with obs.span("xsd.stream.validate"):
-            for event in events:
-                if isinstance(event, StartElement):
-                    namespaces.push(event.attributes)
-                    self._start(event, stack, errors, namespaces)
-                elif isinstance(event, EndElement):
-                    self._end(stack, errors)
-                    namespaces.pop()
-                elif isinstance(event, Characters):
-                    self._characters(event, stack, errors)
-                # comments / PIs / doctype / declarations are transparent
-        obs.count("xsd.stream.documents")
-        if errors:
-            obs.count("xsd.stream.errors", n=len(errors))
-        return errors
+            errors = self._walk_events(events)
+        return _counted(errors)
 
     def is_valid(self, text: str) -> bool:
         return not self.validate_text(text)
 
+    # -- feeders ---------------------------------------------------------------
+
+    def _walk_events(self, events: Iterable[Event]) -> list[ValidationError]:
+        walk = _Walk()
+        scopes = [_Scope({"xml": XML_NAMESPACE})]
+        start = self._start
+        end = self._end
+        characters = self._characters
+        for event in events:
+            if isinstance(event, StartElement):
+                attributes = event.attributes
+                scope = scopes[-1]
+                if attributes:
+                    scope = scope.enter(attributes)
+                scopes.append(scope)
+                start(event.name, attributes, event.location, scope, walk)
+            elif isinstance(event, EndElement):
+                end(walk)
+                scopes.pop()
+            elif isinstance(event, Characters):
+                characters(event.data, event.location, walk)
+            # comments / PIs / doctype / declarations are transparent
+        return walk.errors
+
+    def _walk_text(self, text: str) -> list[ValidationError]:
+        """The turbo feeder: drive the walker off the master alternation.
+
+        Raises :class:`~repro.xml.turbo._Restart` as soon as the document
+        leaves the turbo subset; everything it accepts is well-formed,
+        so a completed walk is the document's whole verdict.
+        """
+        text, pos = _subset_start(text)
+        walk = _Walk(text)
+        start = self._start
+        end = self._end
+        characters = self._characters
+        token_match = _TOKEN.match
+        length = len(text)
+        scopes = [_Scope({"xml": XML_NAMESPACE})]
+        open_names: list[str] = []
+        pending: list[str] = []
+        pending_at = 0
+        seen_root = False
+        while pos < length:
+            match = token_match(text, pos)
+            if match is None:
+                raise _Restart("tokenizer")
+            at = pos
+            pos = match.end()
+            kind = match.lastindex
+            if kind == 1:  # text run
+                if not pending:
+                    pending_at = at
+                pending.append(match[1])
+                continue
+            if kind == 6:  # reference
+                if not open_names:
+                    raise _Restart("reference outside content")
+                if not pending:
+                    pending_at = at
+                pending.append(_decode_reference(match[6]))
+                continue
+            # A tag boundary: the event parser reports the run since the
+            # last tag as ONE Characters event, references joined in.
+            if pending:
+                data = pending[0] if len(pending) == 1 else "".join(pending)
+                pending.clear()
+                if open_names:
+                    characters(data, pending_at, walk)
+                elif data.strip(" \t\n"):
+                    # Non-white-space character data outside the root (the
+                    # parser's white-space production, not str.strip()'s).
+                    raise _Restart("text outside root")
+            if kind == 4:  # start tag
+                name = match[2]
+                if not open_names:
+                    if seen_root:
+                        raise _Restart("multiple root elements")
+                    seen_root = True
+                blob = match[3]
+                scope = scopes[-1]
+                if blob:
+                    attributes = _attribute_pairs(blob)
+                    if "xmlns" in blob:
+                        scope = scope.enter(attributes)
+                else:
+                    attributes = ()
+                start(name, attributes, at, scope, walk)
+                if match[4]:  # self-closing
+                    end(walk)
+                else:
+                    open_names.append(name)
+                    scopes.append(scope)
+            else:  # kind == 5: end tag
+                if not open_names or open_names.pop() != match[5]:
+                    raise _Restart("tag mismatch")
+                scopes.pop()
+                end(walk)
+        if open_names:
+            raise _Restart("unclosed element")
+        if not seen_root:
+            raise _Restart("no root element")
+        if pending and "".join(pending).strip(" \t\n"):
+            raise _Restart("text outside root")
+        return walk.errors
+
     # -- namespace resolution ---------------------------------------------------
 
-    def _event_key(self, event: StartElement, namespaces: _EventNamespaces) -> str:
-        """Expanded name the event matches schema components under.
+    def _element_key(self, name: str, bindings: dict[str, str]) -> str:
+        """Expanded name an element matches schema components under.
 
         Lexical tag name for namespace-free schemas (the pre-namespace
         behavior, byte for byte) and for undeclared prefixes, where the
         schema's "no such element" diagnostics do the explaining.
         """
         if not self._namespaced:
-            return event.name
-        prefix, colon, local = event.name.partition(":")
+            return name
+        prefix, colon, local = name.partition(":")
         if not colon:
-            return expanded_name(namespaces.get("") or None, event.name)
-        uri = namespaces.get(prefix)
+            return expanded_name(bindings.get("") or None, name)
+        uri = bindings.get(prefix)
         if uri is None:
-            return event.name
+            return name
         return expanded_name(uri, local)
 
-    def _attribute_items(
-        self, event: StartElement, namespaces: _EventNamespaces
-    ) -> list[tuple[str, str, str]]:
-        """(lexical name, matching key, value) for schema-checked attributes.
+    @staticmethod
+    def _attribute_class(name: str, bindings: dict[str, str]) -> object:
+        """Key a lexical attribute name is checked under, or its class.
 
-        Filters namespace declarations and XSI attributes by *resolved*
-        namespace; an undeclared ``xsi:`` prefix keeps its conventional
-        meaning, any other undeclared prefix leaves the attribute
-        matched (and reported) by its lexical name.
+        Namespace declarations and XSI attributes are filtered by
+        *resolved* namespace; an undeclared ``xsi:`` prefix keeps its
+        conventional meaning, any other undeclared prefix leaves the
+        attribute matched (and reported) by its lexical name.
         """
-        items: list[tuple[str, str, str]] = []
-        for name, value in event.attributes:
-            if name == "xmlns" or name.startswith("xmlns:"):
-                continue
-            prefix, colon, local = name.partition(":")
-            if not colon:
-                items.append((name, name, value))
-                continue
-            uri = namespaces.get(prefix)
-            if uri is None:
-                if prefix == "xsi":
-                    continue
-                items.append((name, name, value))
-                continue
-            if uri == XSI_NAMESPACE:
-                continue
-            items.append((name, expanded_name(uri, local), value))
-        return items
+        if name == "xmlns" or name.startswith("xmlns:"):
+            return _IGNORED
+        prefix, colon, local = name.partition(":")
+        if not colon:
+            return name
+        uri = bindings.get(prefix)
+        if uri is None:
+            if prefix != "xsi":
+                return name
+        elif uri != XSI_NAMESPACE:
+            return expanded_name(uri, local)
+        return _XSI_TYPE if local == "type" else _IGNORED
 
-    def _xsi_type_value(
-        self, event: StartElement, namespaces: _EventNamespaces
-    ) -> str | None:
-        for name, value in event.attributes:
-            prefix, colon, local = name.partition(":")
-            if not colon or local != "type" or prefix == "xmlns":
-                continue
-            uri = namespaces.get(prefix)
-            if uri == XSI_NAMESPACE or (uri is None and prefix == "xsi"):
-                return value
-        return None
-
-    def _xsi_type_key(
-        self, type_name: str, namespaces: _EventNamespaces
-    ) -> str:
+    def _xsi_type_key(self, type_name: str, bindings: dict[str, str]) -> str:
         """Resolve the QName *value* of ``xsi:type`` to a type key."""
         if not self._namespaced:
             return type_name.rpartition(":")[2]
         prefix, colon, local = type_name.partition(":")
         if not colon:
-            return expanded_name(namespaces.get("") or None, type_name)
-        uri = namespaces.get(prefix)
+            return expanded_name(bindings.get("") or None, type_name)
+        uri = bindings.get(prefix)
         if uri is None:
             return local
         return expanded_name(uri, local)
 
-    # -- event handlers ----------------------------------------------------------
+    # -- the walker ----------------------------------------------------------------
 
-    def _start(
-        self,
-        event: StartElement,
-        stack: list[_Frame],
-        errors: list[ValidationError],
-        namespaces: _EventNamespaces,
-    ) -> None:
-        key = self._event_key(event, namespaces)
+    def _start(self, name: str, attributes, where, scope: _Scope, walk: _Walk) -> None:
+        key = scope.elements.get(name)
+        if key is None:
+            key = scope.elements[name] = self._element_key(name, scope.bindings)
+        stack = walk.stack
         if not stack:
             declaration = self._schema.elements.get(key)
             if declaration is None:
-                errors.append(
-                    ValidationError(
-                        f"root element <{key}> is not a global "
-                        "element of the schema",
-                        event.location,
-                    )
+                walk.error(
+                    f"root element <{key}> is not a global element of the schema",
+                    where,
                 )
-                stack.append(
-                    _Frame(None, ANY_TYPE, None, None, f"/{key}", True)
-                )
+                stack.append(_SKIP)
                 return
             if declaration.abstract:
-                errors.append(
-                    ValidationError(
-                        f"element '{key}' is abstract",
-                        event.location,
-                    )
-                )
-            self._push(
-                event, declaration, key, f"/{key}", stack, errors, namespaces
-            )
+                walk.error(f"element '{key}' is abstract", where)
+            self._push(declaration, key, attributes, where, scope, walk)
             return
         parent = stack[-1]
-        path = f"{parent.path}/{key}"
-        if parent.skip:
-            stack.append(_Frame(None, ANY_TYPE, None, None, path, True))
+        if parent is _SKIP:
+            stack.append(_SKIP)
             return
         if parent.matcher is None:
             # Parent has empty or simple content: no child allowed.
-            errors.append(
-                ValidationError(
-                    f"<{key}> is not allowed inside "
-                    f"<{_name_of(parent)}>",
-                    event.location,
-                    path=parent.path,
-                )
+            walk.error(
+                f"<{key}> is not allowed inside <{parent.facts.name}>",
+                where,
+                walk.path(),
             )
-            stack.append(_Frame(None, ANY_TYPE, None, None, path, True))
+            stack.append(_SKIP)
             return
         matched = parent.matcher.step(key)
         if matched is None:
-            expected = ", ".join(
-                f"<{key_}>" for key_ in parent.matcher.expected()
-            ) or "no further elements"
-            errors.append(
-                ValidationError(
-                    f"<{key}> is not allowed here inside "
-                    f"<{_name_of(parent)}>; expected {expected}",
-                    event.location,
-                    path=parent.path,
-                )
+            expected = (
+                ", ".join(f"<{key_}>" for key_ in parent.matcher.expected())
+                or "no further elements"
             )
-            stack.append(_Frame(None, ANY_TYPE, None, None, path, True))
+            walk.error(
+                f"<{key}> is not allowed here inside <{parent.facts.name}>; "
+                f"expected {expected}",
+                where,
+                walk.path(),
+            )
+            stack.append(_SKIP)
             return
         assert isinstance(matched, ElementDeclaration)
-        self._push(event, matched, key, path, stack, errors, namespaces)
+        self._push(matched, key, attributes, where, scope, walk)
 
     def _push(
         self,
-        event: StartElement,
         declaration: ElementDeclaration,
-        display: str,
-        path: str,
-        stack: list[_Frame],
-        errors: list[ValidationError],
-        namespaces: _EventNamespaces,
+        key: str,
+        attributes,
+        where,
+        scope: _Scope,
+        walk: _Walk,
     ) -> None:
-        type_definition = declaration.resolved_type()
-        override = self._xsi_type_value(event, namespaces)
-        if override is not None:
-            candidate = self._schema.types.get(
-                self._xsi_type_key(override, namespaces)
+        facts = self._facts.get(id(declaration))
+        if facts is None:
+            facts = self._facts[id(declaration)] = _Facts(
+                declaration, declaration.resolved_type(), self._schema, self._use_tables
             )
-            if candidate is None:
-                errors.append(
-                    ValidationError(
-                        f"xsi:type names unknown type '{override}'",
-                        event.location,
-                        path=path,
-                    )
+        items: list[tuple[str, str, str]] = []
+        if attributes:
+            override = None
+            memo = scope.attributes
+            for name, value in attributes:
+                kind = memo.get(name)
+                if kind is None:
+                    kind = memo[name] = self._attribute_class(name, scope.bindings)
+                if kind is _IGNORED:
+                    continue
+                if kind is _XSI_TYPE:
+                    if override is None:
+                        override = value
+                    continue
+                items.append((name, kind, value))
+            if override is not None:
+                facts = self._override(
+                    declaration, facts, override, key, where, scope, walk
                 )
-            elif not _derives_from(candidate, type_definition):
-                errors.append(
-                    ValidationError(
-                        f"xsi:type '{override}' is not derived from the "
-                        "declared type",
-                        event.location,
-                        path=path,
-                    )
-                )
-            else:
-                type_definition = candidate
-        matcher = None
-        content_type = None
-        skip = False
-        if isinstance(type_definition, ComplexType):
-            if type_definition is ANY_TYPE:
-                skip = True
-            else:
-                if type_definition.abstract:
-                    errors.append(
-                        ValidationError(
-                            f"type '{type_definition.name}' of element "
-                            f"'{declaration.key}' is abstract",
-                            event.location,
-                            path=path,
-                        )
-                    )
-                content_type = type_definition.content_type
-                if content_type in (
-                    ContentType.ELEMENT_ONLY,
-                    ContentType.MIXED,
-                ):
-                    if self._use_tables:
-                        matcher = self._schema.content_table(
-                            type_definition
-                        ).matcher()
-                    else:
-                        matcher = self._schema.content_dfa(
-                            type_definition
-                        ).matcher()
-                self._check_attributes(
-                    event, type_definition, display, path, errors, namespaces
-                )
-        else:
-            if event.attributes and self._attribute_items(event, namespaces):
-                errors.append(
-                    ValidationError(
-                        f"element <{display}> of simple type "
-                        "may not carry attributes",
-                        event.location,
-                        path=path,
-                    )
-                )
-        stack.append(
-            _Frame(declaration, type_definition, matcher, content_type, path, skip)
-        )
+        if facts.skip:
+            walk.stack.append(_SKIP)
+            return
+        if facts.abstract:
+            walk.error(
+                f"type '{facts.type_definition.name}' of element "
+                f"'{facts.name}' is abstract",
+                where,
+                walk.path(key),
+            )
+        if facts.uses is not None:
+            if items or facts.required:
+                self._check_attributes(items, facts, key, where, walk)
+        elif items:
+            walk.error(
+                f"element <{key}> of simple type may not carry attributes",
+                where,
+                walk.path(key),
+            )
+        walk.stack.append(_Frame(key, facts))
 
-    def _characters(
+    def _override(
         self,
-        event: Characters,
-        stack: list[_Frame],
-        errors: list[ValidationError],
-    ) -> None:
+        declaration: ElementDeclaration,
+        facts: _Facts,
+        override: str,
+        key: str,
+        where,
+        scope: _Scope,
+        walk: _Walk,
+    ) -> _Facts:
+        """Facts under the ``xsi:type`` named *override*, if it applies."""
+        candidate = self._schema.types.get(self._xsi_type_key(override, scope.bindings))
+        if candidate is None:
+            walk.error(
+                f"xsi:type names unknown type '{override}'", where, walk.path(key)
+            )
+            return facts
+        if not _derives_from(candidate, facts.type_definition):
+            walk.error(
+                f"xsi:type '{override}' is not derived from the declared type",
+                where,
+                walk.path(key),
+            )
+            return facts
+        if candidate is facts.type_definition:
+            return facts
+        memo_key = (id(declaration), id(candidate))
+        derived = self._facts.get(memo_key)
+        if derived is None:
+            derived = self._facts[memo_key] = _Facts(
+                declaration, candidate, self._schema, self._use_tables
+            )
+        return derived
+
+    def _characters(self, data: str, where, walk: _Walk) -> None:
+        stack = walk.stack
         if not stack:
             return
         frame = stack[-1]
-        if frame.skip:
+        if frame is _SKIP:
             return
-        if (
-            frame.content_type in (ContentType.ELEMENT_ONLY, ContentType.EMPTY)
-            and event.data.strip()
-        ):
-            kind = (
-                "element-only content"
-                if frame.content_type is ContentType.ELEMENT_ONLY
-                else "empty content"
-            )
-            errors.append(
-                ValidationError(
-                    f"<{_name_of(frame)}> has {kind} but contains text",
-                    event.location,
-                    path=frame.path,
-                )
+        facts = frame.facts
+        if facts.text_kind is not None and data.strip():
+            walk.error(
+                f"<{facts.name}> has {facts.text_kind} but contains text",
+                where,
+                walk.path(),
             )
             return
-        frame.text.append(event.data)
+        if facts.collects:
+            frame.text.append(data)
 
-    def _end(
-        self, stack: list[_Frame], errors: list[ValidationError]
-    ) -> None:
-        frame = stack.pop()
-        if frame.skip:
+    def _end(self, walk: _Walk) -> None:
+        frame = walk.stack.pop()
+        if frame is _SKIP:
             return
-        if frame.matcher is not None and not frame.matcher.at_accepting_state():
-            expected = ", ".join(
-                f"<{key}>" for key in frame.matcher.expected()
+        facts = frame.facts
+        matcher = frame.matcher
+        if matcher is not None and not matcher.at_accepting_state():
+            expected = ", ".join(f"<{key}>" for key in matcher.expected())
+            walk.error(
+                f"content of <{facts.name}> ends too early; expected {expected}",
+                path=walk.path(frame.key),
             )
-            errors.append(
-                ValidationError(
-                    f"content of <{_name_of(frame)}> ends too early; "
-                    f"expected {expected}",
-                    path=frame.path,
-                )
-            )
+        if not facts.collects:
+            return
         text = "".join(frame.text)
-        type_definition = frame.type_definition
-        if isinstance(type_definition, SimpleType):
-            self._check_simple(text, type_definition, frame, errors)
-        elif (
-            isinstance(type_definition, ComplexType)
-            and type_definition.content_type is ContentType.SIMPLE
-        ):
-            assert type_definition.simple_content is not None
-            self._check_simple(
-                text, type_definition.simple_content, frame, errors
-            )
-        if (
-            frame.declaration is not None
-            and frame.declaration.fixed is not None
-            and text != frame.declaration.fixed
-        ):
-            errors.append(
-                ValidationError(
-                    f"element '{frame.declaration.key}' must have the "
-                    f"fixed value {frame.declaration.fixed!r}",
-                    path=frame.path,
+        if facts.simple is not None:
+            try:
+                facts.simple.parse(text)
+            except SimpleTypeError as error:
+                walk.error(
+                    f"content of <{facts.name}>: {error.message}",
+                    path=walk.path(frame.key),
                 )
-            )
-
-    def _check_simple(
-        self,
-        text: str,
-        simple_type: SimpleType,
-        frame: _Frame,
-        errors: list[ValidationError],
-    ) -> None:
-        try:
-            simple_type.parse(text)
-        except SimpleTypeError as error:
-            errors.append(
-                ValidationError(
-                    f"content of <{_name_of(frame)}>: {error.message}",
-                    path=frame.path,
-                )
+        if facts.fixed is not None and text != facts.fixed:
+            walk.error(
+                f"element '{facts.name}' must have the "
+                f"fixed value {facts.fixed!r}",
+                path=walk.path(frame.key),
             )
 
     def _check_attributes(
         self,
-        event: StartElement,
-        complex_type: ComplexType,
+        items: list[tuple[str, str, str]],
+        facts: _Facts,
         display: str,
-        path: str,
-        errors: list[ValidationError],
-        namespaces: _EventNamespaces,
+        where,
+        walk: _Walk,
     ) -> None:
-        uses = complex_type.effective_attribute_uses()
+        uses = facts.uses
         seen: set[str] = set()
-        for name, key, value in self._attribute_items(event, namespaces):
+        for name, key, value in items:
             seen.add(key)
             label = key if self._namespaced else name
             use = uses.get(key)
             if use is None:
-                errors.append(
-                    ValidationError(
-                        f"attribute '{label}' is not declared on "
-                        f"<{display}>",
-                        event.location,
-                        path=path,
-                    )
+                walk.error(
+                    f"attribute '{label}' is not declared on <{display}>",
+                    where,
+                    walk.path(display),
                 )
                 continue
             if use.fixed is not None and value != use.fixed:
-                errors.append(
-                    ValidationError(
-                        f"attribute '{label}' must have the fixed value "
-                        f"{use.fixed!r}, found {value!r}",
-                        event.location,
-                        path=path,
-                    )
+                walk.error(
+                    f"attribute '{label}' must have the fixed value "
+                    f"{use.fixed!r}, found {value!r}",
+                    where,
+                    walk.path(display),
                 )
                 continue
             try:
                 use.declaration.resolved_type().parse(value)
             except SimpleTypeError as error:
-                errors.append(
-                    ValidationError(
-                        f"attribute '{label}' of <{display}>: "
-                        f"{error.message}",
-                        event.location,
-                        path=path,
-                    )
+                walk.error(
+                    f"attribute '{label}' of <{display}>: {error.message}",
+                    where,
+                    walk.path(display),
                 )
-        for key, use in uses.items():
-            if use.required and key not in seen:
-                errors.append(
-                    ValidationError(
-                        f"required attribute '{key}' missing on "
-                        f"<{display}>",
-                        event.location,
-                        path=path,
-                    )
+        for key in facts.required:
+            if key not in seen:
+                walk.error(
+                    f"required attribute '{key}' missing on <{display}>",
+                    where,
+                    walk.path(display),
                 )
 
 
-def _name_of(frame: _Frame) -> str:
-    if frame.declaration is not None:
-        return frame.declaration.key
-    return frame.path.rsplit("/", 1)[-1]
+def _counted(errors: list[ValidationError]) -> list[ValidationError]:
+    obs.count("xsd.stream.documents")
+    if errors:
+        obs.count("xsd.stream.errors", n=len(errors))
+    return errors
 
 
 def _derives_from(candidate, declared) -> bool:

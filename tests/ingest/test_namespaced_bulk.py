@@ -131,6 +131,8 @@ class TestLazyBulk:
         assert summary["valid"] == 2
         assert summary["invalid"] == 1
         assert counters.get("ingest.bulk.lazy{outcome=subset,roots=1}") == 1
+        # The report's obs section names each document's route.
+        assert report["obs"]["counters"]["xsd.stream{lane=turbo}"] == 3
 
     def test_lazy_verdicts_match_full_bind(self, tmp_path):
         paths = _write_corpus(

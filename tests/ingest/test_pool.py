@@ -148,6 +148,15 @@ class TestPooledVerdicts:
             # Same documents, same schema: the second run answers from
             # the (worker-local + persistent) verdict cache.
             assert second["summary"]["cached"] == 7
+            # Held reports share the caller's path strings.
+            names = [str(path) for path in corpus]
+            third = validate_files(
+                PURCHASE_ORDER_SCHEMA, names, cache_dir=cache_dir, pool=pool
+            )
+            assert all(
+                record["path"] is name
+                for record, name in zip(third["files"], names)
+            )
 
     def test_pool_param_overrides_jobs(self, corpus):
         with ValidationPool(PURCHASE_ORDER_SCHEMA, 2) as pool:

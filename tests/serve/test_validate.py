@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.schemas import PURCHASE_ORDER_DOCUMENT
 from repro.serve import RouteTable
 from tests.serve.test_server import get, raw_request, running
@@ -110,9 +111,17 @@ class TestValidateEndpoint:
                 assert status == 200
                 return json.loads(body)
 
-        stats = asyncio.run(scenario())["server"]
+        obs.enable(reset=True)
+        try:
+            snapshot = asyncio.run(scenario())
+        finally:
+            obs.disable()
+            obs.reset()
+        stats = snapshot["server"]
         assert stats["validated"] == 1
         assert stats["responses"]["200"] >= 1
+        # The route the posted document took: the turbo walker.
+        assert snapshot["obs"]["counters"]["xsd.stream{lane=turbo}"] == 1
 
 
 class TestPooledEndpoint:

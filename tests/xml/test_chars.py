@@ -2,6 +2,8 @@
 
 
 from repro.xml.chars import (
+    _NAME_EXTRA_RANGES,
+    _NAME_START_RANGES,
     collapse_whitespace,
     is_name,
     is_name_char,
@@ -106,3 +108,56 @@ class TestWhitespaceNormalization:
         text = "a\tb\nc\rd"
         assert replace_whitespace(text) == "a b c d"
         assert len(replace_whitespace(text)) == len(text)
+
+
+def _name_by_chars(text: str) -> bool:
+    """The Name production, one character at a time."""
+    return (
+        bool(text)
+        and is_name_start_char(text[0])
+        and all(is_name_char(char) for char in text[1:])
+    )
+
+
+def _nmtoken_by_chars(text: str) -> bool:
+    return bool(text) and all(is_name_char(char) for char in text)
+
+
+class TestCompiledNamePatterns:
+    """The regex-backed name checks agree with the per-character
+    predicates the reference parser steps through."""
+
+    @staticmethod
+    def _assert_agree(text: str) -> None:
+        assert is_name(text) == _name_by_chars(text), repr(text)
+        assert is_ncname(text) == (_name_by_chars(text) and ":" not in text), (
+            repr(text)
+        )
+        assert is_nmtoken(text) == _nmtoken_by_chars(text), repr(text)
+
+    def test_every_bmp_code_point(self):
+        for codepoint in range(0x10000):
+            char = chr(codepoint)
+            self._assert_agree(char)
+            self._assert_agree("a" + char)
+
+    def test_range_boundaries_and_astral_code_points(self):
+        probes = {0x10000, 0x1F600, 0x2A6D6, 0xEFFFF, 0xF0000, 0x10FFFF}
+        for low, high in _NAME_START_RANGES + _NAME_EXTRA_RANGES:
+            probes.update((low - 1, low, high, high + 1))
+        for codepoint in sorted(probes):
+            char = chr(codepoint)
+            for text in (char, "a" + char, char + "a", "_" + char + "-"):
+                self._assert_agree(text)
+
+    def test_trailing_newline_is_not_a_name(self):
+        for text in ("name\n", "pre:local\n", "123\n"):
+            assert not is_name(text)
+            assert not is_ncname(text)
+            assert not is_nmtoken(text)
+            self._assert_agree(text)
+
+    def test_empty_string(self):
+        assert not is_name("")
+        assert not is_ncname("")
+        assert not is_nmtoken("")
