@@ -14,9 +14,8 @@ Measured here:
 * **fused**  — ``fused_parse`` (the full pipeline win),
 * **fused (object DFAs)** — ``fused_parse(use_tables=False)``: the
   golden-reference route and the denominator for the table-driven floor,
-* **turbo**  — ``table_parse``: flat integer DFA tables stepped by the
-  single-alternation scanner (both the stdlib regex lane and, when
-  numpy is importable, the vectorized structural-index lane),
+* **turbo**  — ``table_parse``: flat integer DFA tables stepped off the
+  turbo scanner (``repro.xml.turbo.scan``),
 * **tokenizer** — event iteration alone, both parsers,
 * **bulk**   — ``validate_files`` through the persistent
   ``ValidationPool`` (warm workers, sharded batches), when cores allow.
@@ -51,7 +50,6 @@ from benchmarks.conftest import purchase_order_text
 from repro.core import bind
 from repro.dom.document import Document
 from repro.ingest import fused_parse, legacy_parse, table_parse, validate_files
-from repro.ingest import structural
 from repro.schemas import PURCHASE_ORDER_SCHEMA, XHTML_SUBSET_SCHEMA
 from repro.xml.events import Characters, EndElement, StartElement
 from repro.xml.parser import PullParser
@@ -162,26 +160,18 @@ def _measure_corpus(label, schema_text, text):
     golden = serialize(_seed_pipeline(binding, text))
     assert serialize(fused_parse(binding, text)) == golden
     assert serialize(fused_parse(binding, text, use_tables=False)) == golden
-    assert serialize(table_parse(binding, text, lane="stdlib")) == golden
-    index_available = structural.markup_index(text) is not None
-    if index_available:
-        assert serialize(table_parse(binding, text, lane="index")) == golden
+    assert serialize(table_parse(binding, text)) == golden
     actions = [
         lambda: _seed_pipeline(binding, text),
         lambda: legacy_parse(binding, text),
         lambda: fused_parse(binding, text),
         lambda: fused_parse(binding, text, use_tables=False),
         lambda: table_parse(binding, text),
-        lambda: table_parse(binding, text, lane="stdlib"),
         lambda: _drain(ReferencePullParser, text),
         lambda: _drain(PullParser, text),
     ]
-    if index_available:
-        actions.append(lambda: table_parse(binding, text, lane="index"))
-    timings = _best_seconds_interleaved(actions)
-    (seed, legacy, fused, fused_object, turbo, turbo_stdlib,
-     reference_scan, fast_scan) = timings[:8]
-    turbo_index = timings[8] if index_available else None
+    (seed, legacy, fused, fused_object, turbo, reference_scan,
+     fast_scan) = _best_seconds_interleaved(actions)
     result = {
         "document_bytes": len(text),
         "seed_ms": round(seed * 1000, 2),
@@ -189,11 +179,6 @@ def _measure_corpus(label, schema_text, text):
         "fused_ms": round(fused * 1000, 2),
         "fused_object_ms": round(fused_object * 1000, 2),
         "turbo_ms": round(turbo * 1000, 2),
-        "turbo_stdlib_ms": round(turbo_stdlib * 1000, 2),
-        "turbo_index_ms": (
-            round(turbo_index * 1000, 2) if turbo_index is not None else None
-        ),
-        "index_lane_available": index_available,
         "reference_tokenize_ms": round(reference_scan * 1000, 2),
         "fast_tokenize_ms": round(fast_scan * 1000, 2),
         "tokenizer_speedup": round(reference_scan / fast_scan, 2),
@@ -209,8 +194,6 @@ def _measure_corpus(label, schema_text, text):
         f"fused {result['fused_ms']}ms  -> {result['fused_vs_seed']}x vs seed "
         f"(tokenizer alone {result['tokenizer_speedup']}x)\n"
         f"{label}: turbo {result['turbo_ms']}ms "
-        f"(stdlib {result['turbo_stdlib_ms']}ms, "
-        f"index {result['turbo_index_ms']}ms) "
         f"-> {result['turbo_vs_fused_object']}x vs object-DFA fused, "
         f"{result['turbo_vs_seed']}x vs seed"
     )

@@ -3,14 +3,16 @@
 Two entry points:
 
 * :func:`parse_typed` / :func:`ingest` — one document to a typed V-DOM
-  tree in a single pass.  The table-driven turbo lane
-  (:func:`table_parse`) scans the source with one precompiled regex
-  alternation (or a numpy structural index when available) and steps
-  flat integer DFA tables; documents outside its subset restart through
-  :func:`fused_parse` (events drive the content-model automata during
-  parsing; no generic DOM intermediate), which in turn falls back to
-  the legacy parse → build → bind route for documents the fused walk
-  does not cover;
+  tree in a single pass.  One set of typed handlers steps the
+  content-model automata while the document is read and allocates the
+  tree directly (no generic DOM intermediate).  The table-driven turbo
+  lane (:func:`table_parse`) feeds them from the stdlib turbo scanner
+  shared with streaming validation (:func:`repro.xml.turbo.scan`),
+  stepping flat integer DFA tables; documents outside its subset
+  restart through :func:`fused_parse`, which feeds the same handlers
+  from ``PullParser`` events and in turn falls back to the legacy
+  parse → build → bind route for documents the fused walk does not
+  cover;
 * :func:`validate_files` — a whole corpus through a persistent
   :class:`ValidationPool` of workers warm-started from the persistent
   compilation cache, consistent-hash sharded into document batches,

@@ -1,4 +1,4 @@
-"""Fused parse-to-typed-tree: events drive typed construction directly.
+"""Fused parse-to-typed-tree: one walk drives typed construction directly.
 
 The legacy ingest route is three passes over the data::
 
@@ -6,11 +6,16 @@ The legacy ingest route is three passes over the data::
                          (builder)      (DFA walk #1)       (DFA walk #2
                                                              in check_valid)
 
-This module collapses them into one: parser events step the content-model
-DFAs *while the document is being read*, and ``TypedElement`` nodes are
+This module collapses them into one: the content-model DFAs are stepped
+*while the document is being read*, and ``TypedElement`` nodes are
 allocated directly — no generic DOM is ever built and no second
-validation pass runs.  The observable behaviour is identical to
-``binding.from_dom(parse_document(text).document_element)``:
+validation pass runs.  One set of typed handlers (:class:`_TypedWalk`:
+frame building, one content-model matcher per frame, and
+:func:`_construct`) does that work for both feeders: :func:`fused_parse`
+drives it from ``PullParser`` events, and
+:func:`~repro.ingest.table_driven.table_parse` from the turbo scanner
+(:func:`repro.xml.turbo.scan`).  The observable behaviour is identical
+to ``binding.from_dom(parse_document(text).document_element)``:
 
 * the same typed classes are instantiated for the same declarations,
 * the same tree shape results (text-node granularity, CDATA flattening,
@@ -46,7 +51,7 @@ from repro.xsd.simple import SimpleType
 
 _STRUCTURED = (ContentType.ELEMENT_ONLY, ContentType.MIXED)
 
-#: per-declaration cap on the accepted-leaf-value memo (turbo lane):
+#: per-declaration cap on the accepted-leaf-value memo (table route):
 #: high-cardinality corpora stop inserting once full instead of growing
 #: without bound, and hits keep working for the values already seen
 _VALUE_MEMO_LIMIT = 4096
@@ -57,15 +62,13 @@ class IngestFallback(Exception):
 
 
 class _Frame:
-    """One open element during the fused walk."""
+    """One open element during a typed walk."""
 
     __slots__ = (
         "tag",
         "cls",
         "type_definition",
         "matcher",
-        "table",
-        "state",
         "structured",
         "content_type",
         "has_required",
@@ -77,34 +80,125 @@ class _Frame:
         "element_count",
     )
 
-    def __init__(
-        self,
-        tag,
-        cls,
-        type_definition,
-        matcher,
-        table,
-        structured,
-        content_type,
-        has_required,
-        cinfo,
-        attributes,
-    ):
+    def __init__(self, tag, info, attributes, use_tables):
+        (
+            cls,
+            type_definition,
+            structured,
+            dfa,
+            table,
+            content_type,
+            has_required,
+            cinfo,
+            memo,
+        ) = info
         self.tag = tag
         self.cls = cls
         self.type_definition = type_definition
-        self.matcher = matcher  # object-DFA Matcher (golden route) or None
-        self.table = table  # DfaTable when stepping flat tables, else None
-        self.state = 0  # integer DFA state (table route)
+        # The content-model matcher of a structured frame: flat tables,
+        # or the object DFA on the golden reference route.
+        if structured:
+            self.matcher = table.matcher() if use_tables else dfa.matcher()
+        else:
+            self.matcher = None
         self.structured = structured
         self.content_type = content_type  # None for simple-typed elements
         self.has_required = has_required  # any required attribute use?
         self.cinfo = cinfo  # class-derived constants for _construct
-        self.memo = None  # accepted-leaf-value memo (turbo lane only)
+        # Accepted-leaf-value memo; the reference route checks every
+        # value afresh.
+        self.memo = memo if use_tables else None
         self.children = []  # str | TypedElement, in document order
         self.text_parts = []  # all character data in the subtree (leaf only)
-        self.attributes = attributes
+        self.attributes = attributes  # as read, ``xmlns`` pairs included
         self.element_count = 0
+
+
+class _TypedWalk:
+    """The typed handlers: frames, content-model steps, construction.
+
+    ``start(name, attributes, where)``, ``end()`` and
+    ``characters(data, where)`` take ``PullParser`` events
+    (:func:`fused_parse`) and the turbo scanner's calls
+    (:func:`~repro.ingest.table_driven.table_parse`) alike; positions
+    are not needed, since typed-tree errors carry none.  After the last
+    ``end`` the typed tree is :attr:`root`.
+    """
+
+    __slots__ = (
+        "root",
+        "_binding",
+        "_schema",
+        "_classes",
+        "_dispatch",
+        "_use_tables",
+        "_stack",
+        "_skip_depth",
+    )
+
+    def __init__(self, binding: Binding, use_tables: bool):
+        self.root: TypedElement | None = None
+        self._binding = binding
+        self._schema = binding.schema
+        self._classes = binding.class_by_declaration
+        # Per-declaration dispatch info (see _dispatch_info), computed
+        # once per binding: declarations are interned in the schema, so
+        # ``id`` keys are stable for its lifetime.
+        dispatch = binding.__dict__.get("_ingest_dispatch")
+        if dispatch is None:
+            dispatch = {}
+            binding._ingest_dispatch = dispatch
+        self._dispatch = dispatch
+        self._use_tables = use_tables
+        self._stack: list[_Frame] = []
+        # Elements below a leaf (non-structured) frame are not typed at
+        # all — ``from_dom`` flattens that subtree to its text content —
+        # so they are only counted, and their character data accrues to
+        # the leaf frame.
+        self._skip_depth = 0
+
+    def start(self, name: str, attributes, where) -> None:
+        stack = self._stack
+        if stack:
+            frame = stack[-1]
+            if not frame.structured:
+                self._skip_depth += 1
+                return
+            declaration = frame.matcher.step(name)
+            if declaration is None:
+                raise VdomTypeError(f"<{name}> is not allowed inside <{frame.tag}>")
+        else:
+            declaration = self._schema.elements.get(name)
+            if declaration is None:
+                raise VdomTypeError(
+                    f"<{name}> is not a global element of the schema"
+                )
+        info = self._dispatch.get(id(declaration))
+        if info is None:
+            info = _dispatch_info(self._schema, self._classes, declaration)
+            self._dispatch[id(declaration)] = info
+        stack.append(_Frame(name, info, attributes, self._use_tables))
+
+    def end(self) -> None:
+        if self._skip_depth:
+            self._skip_depth -= 1
+            return
+        stack = self._stack
+        element = _construct(self._binding, stack.pop())
+        if stack:
+            parent = stack[-1]
+            parent.children.append(element)
+            parent.element_count += 1
+        else:
+            self.root = element
+
+    def characters(self, data: str, where) -> None:
+        frame = self._stack[-1]
+        if frame.structured:
+            if data.strip():
+                frame.children.append(data)
+        else:
+            frame.text_parts.append(data)
 
 
 @dataclass
@@ -161,127 +255,27 @@ def fused_parse(
 
     With ``use_tables`` (the default) content models are stepped through
     flat integer transition tables — one dict probe and two array
-    indexings per child element.  ``use_tables=False`` steps the object
-    DFAs instead; it is the golden reference the table route is held to
-    (and the baseline the ``ingest:table_driven`` benchmark floor is
-    measured against).
+    indexings per child element — and leaf values a declaration has
+    already accepted skip re-validation.  ``use_tables=False`` steps the
+    object DFAs and checks every value instead; it is the golden
+    reference the table route is held to (and the baseline the
+    ``ingest:table_driven`` benchmark floor is measured against).
     """
     binding._require_no_namespaces("fused ingest")
-    schema = binding.schema
-    class_by_declaration = binding.class_by_declaration
-    # Per-declaration dispatch info (class, resolved type, structuredness,
-    # DFA + flat table, content type), computed once per binding:
-    # declarations are interned in the schema, so ``id`` keys are stable
-    # for its lifetime.
-    dispatch = binding.__dict__.get("_ingest_dispatch")
-    if dispatch is None:
-        dispatch = {}
-        binding._ingest_dispatch = dispatch
+    walk = _TypedWalk(binding, use_tables)
+    start = walk.start
+    end = walk.end
+    characters = walk.characters
     events = iter(PullParser(text, source))
-    stack: list[_Frame] = []
-    root: TypedElement | None = None
-    # Elements below a leaf (non-structured) frame are not typed at all —
-    # ``from_dom`` flattens that subtree to its text content — so they are
-    # only counted, and their character data accrues to the leaf frame.
-    skip_depth = 0
     try:
         for event in events:
             kind = event.__class__
             if kind is Characters:
-                frame = stack[-1]
-                if frame.structured:
-                    if event.data.strip():
-                        frame.children.append(event.data)
-                else:
-                    frame.text_parts.append(event.data)
+                characters(event.data, event.location)
             elif kind is StartElement:
-                if stack:
-                    frame = stack[-1]
-                    if not frame.structured:
-                        skip_depth += 1
-                        continue
-                    table = frame.table
-                    if table is not None:
-                        # The table-driven hot step: symbol-id probe plus
-                        # two array indexings, no method dispatch.
-                        sym = table.symbol_ids.get(event.name)
-                        if sym is None:
-                            target = -1
-                        else:
-                            cell = frame.state * table.n_symbols + sym
-                            target = table.nxt[cell]
-                        if target < 0:
-                            raise VdomTypeError(
-                                f"<{event.name}> is not allowed inside "
-                                f"<{frame.tag}>"
-                            )
-                        frame.state = target
-                        declaration = table.payloads[table.pay[cell]]
-                    else:
-                        matched = frame.matcher.step(event.name)
-                        if matched is None:
-                            raise VdomTypeError(
-                                f"<{event.name}> is not allowed inside "
-                                f"<{frame.tag}>"
-                            )
-                        declaration = matched
-                else:
-                    declaration = schema.elements.get(event.name)
-                    if declaration is None:
-                        raise VdomTypeError(
-                            f"<{event.name}> is not a global element of the "
-                            "schema"
-                        )
-                info = dispatch.get(id(declaration))
-                if info is None:
-                    info = _dispatch_info(
-                        schema, class_by_declaration, declaration
-                    )
-                    dispatch[id(declaration)] = info
-                (
-                    cls,
-                    type_definition,
-                    structured,
-                    dfa,
-                    table,
-                    content_type,
-                    has_required,
-                    cinfo,
-                    _memo,  # turbo-lane leaf-value memo; unused here
-                ) = info
-                attributes = event.attributes
-                if attributes:
-                    attributes = [
-                        pair
-                        for pair in attributes
-                        if not pair[0].startswith("xmlns")
-                    ]
-                stack.append(
-                    _Frame(
-                        event.name,
-                        cls,
-                        type_definition,
-                        dfa.matcher() if structured and not use_tables else None,
-                        table if structured and use_tables else None,
-                        structured,
-                        content_type,
-                        has_required,
-                        cinfo,
-                        attributes,
-                    )
-                )
+                start(event.name, event.attributes, event.location)
             elif kind is EndElement:
-                if skip_depth:
-                    skip_depth -= 1
-                    continue
-                frame = stack.pop()
-                element = _construct(binding, frame)
-                if stack:
-                    parent = stack[-1]
-                    parent.children.append(element)
-                    parent.element_count += 1
-                else:
-                    root = element
+                end()
             elif kind is DoctypeDecl:
                 raise IngestFallback("internal DTD subset")
             # XML declarations, comments, and processing instructions
@@ -293,17 +287,16 @@ def fused_parse(
         for _ in events:
             pass
         raise
-    assert root is not None  # the parser guarantees a root element
-    return root
+    assert walk.root is not None  # the parser guarantees a root element
+    return walk.root
 
 
 def _dispatch_info(schema, class_by_declaration, declaration) -> tuple:
     """Build one per-declaration dispatch entry: ``(cls, type_definition,
-    structured, dfa, table, content_type, has_required, cinfo)``.
+    structured, dfa, table, content_type, has_required, cinfo, memo)``.
 
-    Shared by the event-driven fused walk and the table-driven turbo
-    lane; entries live in ``binding._ingest_dispatch`` keyed on
-    ``id(declaration)``.
+    Entries live in ``binding._ingest_dispatch`` keyed on
+    ``id(declaration)``, shared by both routes of the typed walk.
     """
     cls = class_by_declaration.get(id(declaration))
     if cls is None:
@@ -331,7 +324,7 @@ def _dispatch_info(schema, class_by_declaration, declaration) -> tuple:
         content_type,
         has_required,
         _construct_info(cls),
-        # Accepted-leaf-value memo, used by the turbo lane only: a
+        # Accepted-leaf-value memo, used by the table route only: a
         # bounded set of raw text contents this declaration's simple
         # type has already accepted, so repeated values skip the
         # facet/lexical re-validation.  Validation is pure, so caching
@@ -433,6 +426,8 @@ def _construct(binding: Binding, frame: _Frame) -> TypedElement:
     for key, literal in defaults:
         attribute_map._install(key, literal)
     for name, value in frame.attributes:
+        if name.startswith("xmlns"):
+            continue
         key = lookup.get(name)
         if key is None:
             element._attribute_field(name)  # raises "has no attribute"
@@ -464,15 +459,11 @@ def _construct(binding: Binding, frame: _Frame) -> TypedElement:
                     memo[data] = True
         elif not is_any:
             matcher = frame.matcher
-            table = frame.table
-            if (
-                matcher is not None or table is not None
-            ) and type_definition is frame.type_definition:
-                # The live automaton (object matcher or flat table)
-                # already accepted every child in order; only the checks
-                # it cannot subsume remain.  With no attributes present
-                # and none required, the attribute check is a proven
-                # no-op.
+            if matcher is not None and type_definition is frame.type_definition:
+                # The live automaton already accepted every child in
+                # order; only the checks it cannot subsume remain.  With
+                # no attributes present and none required, the attribute
+                # check is a proven no-op.
                 if attrs or frame.has_required:
                     element._check_attributes(type_definition)
                 if (
@@ -483,20 +474,9 @@ def _construct(binding: Binding, frame: _Frame) -> TypedElement:
                         f"<{tag}> has element-only content and "
                         "may not contain text"
                     )
-                if table is not None:
-                    state = frame.state
-                    accepted = table.accepting[state] == 1
-                else:
-                    state = matcher.state
-                    accepted = matcher.at_accepting_state()
-                if not accepted:
-                    expected_keys = (
-                        table.expected_keys(state)
-                        if table is not None
-                        else matcher.expected()
-                    )
+                if not matcher.at_accepting_state():
                     expected = ", ".join(
-                        f"<{key}>" for key in expected_keys
+                        f"<{key}>" for key in matcher.expected()
                     )
                     raise VdomTypeError(
                         f"content of <{tag}> is incomplete; "
@@ -507,7 +487,7 @@ def _construct(binding: Binding, frame: _Frame) -> TypedElement:
                 element._content_state = (
                     frame.element_count,
                     len(nodes),
-                    state,
+                    matcher.state,
                 )
             elif not frame.structured and type_definition is frame.type_definition:
                 # Leaf complex frame (EMPTY or SIMPLE content): the checks

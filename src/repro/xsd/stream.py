@@ -7,24 +7,25 @@ supported feature set (the benchmarks assert agreement); it is the
 validation mode a server uses for *incoming* documents before
 unmarshalling, and an ablation partner for the DOM-based walk.
 
-One walker does the validity work: the ``_start`` / ``_push`` /
-``_characters`` / ``_end`` handlers take a lexical name, attribute
-pairs and a position, so every validity check and every message exists
-once.  Two feeders drive it:
+One walker does the validity work: the ``start`` / ``characters`` /
+``end`` handlers of a per-document ``_Walk`` take a lexical name,
+attribute pairs and a position, keep the namespace scopes and the open
+frames, and with the validator's ``_push`` hold every validity check
+and every message once.  Two feeders drive it:
 
-* **the turbo feeder** (:meth:`StreamingValidator.validate_text`) reads
-  tokens straight off the source text with the scanner grammar of
-  :mod:`repro.xml.turbo` — no ``Event``, no ``Location``, no iterator
-  round-trip per token.  Positions are plain offsets; a
-  :class:`~repro.errors.Location` and an instance path are only built
-  when an error is recorded.  A document that leaves the turbo subset
-  (a hazard, a tokenizer miss, a tag mismatch, a duplicate attribute,
-  stray text) raises the internal restart: its partial verdict is
-  discarded and it is re-run through the event feeder, so syntax errors
-  and their precedence over validity errors stay exactly as
-  :class:`~repro.xml.parser.PullParser` reports them.
+* **the turbo feeder** (:meth:`StreamingValidator.validate_text`) is
+  the turbo scanner, :func:`repro.xml.turbo.scan` (shared with typed
+  ingest): it reads the source text directly — no ``Event``, no
+  ``Location``, no iterator round-trip per token.  Positions are plain
+  offsets; a :class:`~repro.errors.Location` and an instance path are
+  only built when an error is recorded.  A document that leaves the
+  turbo subset (a hazard, a malformed tag or reference, a tag mismatch,
+  a duplicate attribute, stray text) raises the internal restart: its
+  partial verdict is discarded and it is re-run through the event
+  feeder, so syntax errors and their precedence over validity errors
+  stay exactly as :class:`~repro.xml.parser.PullParser` reports them.
 * **the event feeder** (:meth:`StreamingValidator.validate_events`)
-  walks any ``PullParser`` event stream.
+  turns any ``PullParser`` event stream into the same calls.
 
 Schema facts — content type, content model, effective attribute uses,
 the simple type checking the text, the fixed value, the abstract flag —
@@ -54,13 +55,7 @@ from repro.xml.events import (
 from repro.xml.parser import PullParser
 from repro.xml.qname import XML_NAMESPACE, XSI_NAMESPACE
 from repro.xml.reader import Reader
-from repro.xml.turbo import (
-    _TOKEN,
-    _attribute_pairs,
-    _decode_reference,
-    _Restart,
-    _subset_start,
-)
+from repro.xml.turbo import _Restart, scan
 from repro.xsd.components import (
     ANY_TYPE,
     ComplexType,
@@ -200,22 +195,129 @@ class _Scope:
 
 
 class _Walk:
-    """One document's walk: open frames, errors, and positions.
+    """One document's walk: the verdict handlers both feeders drive.
 
+    ``start`` / ``characters`` / ``end`` push and pop the in-scope
+    namespace bindings, step the open frames' content models and record
+    errors; schema facts and name resolution come from the validator.
     A position is the event's :class:`~repro.errors.Location` on the
-    event feeder and a plain offset into *text* on the turbo feeder;
-    the offset becomes a ``Location`` only when an error is recorded,
+    event feeder and a plain offset into *text* on the turbo feeder; the
+    offset becomes a ``Location`` only when an error is recorded,
     through the same :class:`~repro.xml.reader.Reader` arithmetic the
     event parser uses.
     """
 
-    __slots__ = ("stack", "errors", "_text", "_reader")
+    __slots__ = ("stack", "errors", "_validator", "_scopes", "_text", "_reader")
 
-    def __init__(self, text: str | None = None):
+    def __init__(self, validator: StreamingValidator, text: str | None = None):
         self.stack: list[_Frame] = []
         self.errors: list[ValidationError] = []
+        self._validator = validator
+        self._scopes = [_Scope({"xml": XML_NAMESPACE})]
         self._text = text
         self._reader: Reader | None = None
+
+    def start(self, name: str, attributes, where) -> None:
+        scope = self._scopes[-1]
+        if attributes:
+            scope = scope.enter(attributes)
+        self._scopes.append(scope)
+        validator = self._validator
+        key = scope.elements.get(name)
+        if key is None:
+            key = scope.elements[name] = validator._element_key(name, scope.bindings)
+        stack = self.stack
+        if not stack:
+            declaration = validator._schema.elements.get(key)
+            if declaration is None:
+                self.error(
+                    f"root element <{key}> is not a global element of the schema",
+                    where,
+                )
+                stack.append(_SKIP)
+                return
+            if declaration.abstract:
+                self.error(f"element '{key}' is abstract", where)
+            validator._push(declaration, key, attributes, where, scope, self)
+            return
+        parent = stack[-1]
+        if parent is _SKIP:
+            stack.append(_SKIP)
+            return
+        if parent.matcher is None:
+            # Parent has empty or simple content: no child allowed.
+            self.error(
+                f"<{key}> is not allowed inside <{parent.facts.name}>",
+                where,
+                self.path(),
+            )
+            stack.append(_SKIP)
+            return
+        matched = parent.matcher.step(key)
+        if matched is None:
+            expected = (
+                ", ".join(f"<{key_}>" for key_ in parent.matcher.expected())
+                or "no further elements"
+            )
+            self.error(
+                f"<{key}> is not allowed here inside <{parent.facts.name}>; "
+                f"expected {expected}",
+                where,
+                self.path(),
+            )
+            stack.append(_SKIP)
+            return
+        assert isinstance(matched, ElementDeclaration)
+        validator._push(matched, key, attributes, where, scope, self)
+
+    def characters(self, data: str, where) -> None:
+        stack = self.stack
+        if not stack:
+            return
+        frame = stack[-1]
+        if frame is _SKIP:
+            return
+        facts = frame.facts
+        if facts.text_kind is not None and data.strip():
+            self.error(
+                f"<{facts.name}> has {facts.text_kind} but contains text",
+                where,
+                self.path(),
+            )
+            return
+        if facts.collects:
+            frame.text.append(data)
+
+    def end(self) -> None:
+        self._scopes.pop()
+        frame = self.stack.pop()
+        if frame is _SKIP:
+            return
+        facts = frame.facts
+        matcher = frame.matcher
+        if matcher is not None and not matcher.at_accepting_state():
+            expected = ", ".join(f"<{key}>" for key in matcher.expected())
+            self.error(
+                f"content of <{facts.name}> ends too early; expected {expected}",
+                path=self.path(frame.key),
+            )
+        if not facts.collects:
+            return
+        text = "".join(frame.text)
+        if facts.simple is not None:
+            try:
+                facts.simple.parse(text)
+            except SimpleTypeError as error:
+                self.error(
+                    f"content of <{facts.name}>: {error.message}",
+                    path=self.path(frame.key),
+                )
+        if facts.fixed is not None and text != facts.fixed:
+            self.error(
+                f"element '{facts.name}' must have the "
+                f"fixed value {facts.fixed!r}",
+                path=self.path(frame.key),
+            )
 
     def path(self, leaf: str | None = None) -> str:
         """Instance path of the open elements (plus *leaf*)."""
@@ -228,7 +330,9 @@ class _Walk:
         if where is not None and self._text is not None:
             reader = self._reader
             if reader is None:
-                reader = self._reader = Reader(self._text)
+                # The scanner's offsets, like the parser's locations,
+                # count from after a byte-order mark.
+                reader = self._reader = Reader(self._text.removeprefix("\ufeff"))
             reader.offset = where
             where = reader.location()
         self.errors.append(ValidationError(message, where, path=path))
@@ -265,13 +369,15 @@ class StreamingValidator:
         if not self._use_tables:
             return self.validate_events(PullParser(text))
         with obs.span("xsd.stream.validate"):
+            walk = _Walk(self, text)
             try:
-                errors = self._walk_text(text)
+                scan(text, walk)
             except _Restart as restart:
                 obs.count("xsd.stream", outcome="restart", reason=restart.reason)
                 errors = self._walk_events(PullParser(text))
             else:
                 obs.count("xsd.stream", lane="turbo")
+                errors = walk.errors
         return _counted(errors)
 
     def validate_events(self, events: Iterable[Event]) -> list[ValidationError]:
@@ -283,110 +389,21 @@ class StreamingValidator:
     def is_valid(self, text: str) -> bool:
         return not self.validate_text(text)
 
-    # -- feeders ---------------------------------------------------------------
+    # -- the event feeder -------------------------------------------------------
 
     def _walk_events(self, events: Iterable[Event]) -> list[ValidationError]:
-        walk = _Walk()
-        scopes = [_Scope({"xml": XML_NAMESPACE})]
-        start = self._start
-        end = self._end
-        characters = self._characters
+        walk = _Walk(self)
+        start = walk.start
+        end = walk.end
+        characters = walk.characters
         for event in events:
             if isinstance(event, StartElement):
-                attributes = event.attributes
-                scope = scopes[-1]
-                if attributes:
-                    scope = scope.enter(attributes)
-                scopes.append(scope)
-                start(event.name, attributes, event.location, scope, walk)
+                start(event.name, event.attributes, event.location)
             elif isinstance(event, EndElement):
-                end(walk)
-                scopes.pop()
+                end()
             elif isinstance(event, Characters):
-                characters(event.data, event.location, walk)
+                characters(event.data, event.location)
             # comments / PIs / doctype / declarations are transparent
-        return walk.errors
-
-    def _walk_text(self, text: str) -> list[ValidationError]:
-        """The turbo feeder: drive the walker off the master alternation.
-
-        Raises :class:`~repro.xml.turbo._Restart` as soon as the document
-        leaves the turbo subset; everything it accepts is well-formed,
-        so a completed walk is the document's whole verdict.
-        """
-        text, pos = _subset_start(text)
-        walk = _Walk(text)
-        start = self._start
-        end = self._end
-        characters = self._characters
-        token_match = _TOKEN.match
-        length = len(text)
-        scopes = [_Scope({"xml": XML_NAMESPACE})]
-        open_names: list[str] = []
-        pending: list[str] = []
-        pending_at = 0
-        seen_root = False
-        while pos < length:
-            match = token_match(text, pos)
-            if match is None:
-                raise _Restart("tokenizer")
-            at = pos
-            pos = match.end()
-            kind = match.lastindex
-            if kind == 1:  # text run
-                if not pending:
-                    pending_at = at
-                pending.append(match[1])
-                continue
-            if kind == 6:  # reference
-                if not open_names:
-                    raise _Restart("reference outside content")
-                if not pending:
-                    pending_at = at
-                pending.append(_decode_reference(match[6]))
-                continue
-            # A tag boundary: the event parser reports the run since the
-            # last tag as ONE Characters event, references joined in.
-            if pending:
-                data = pending[0] if len(pending) == 1 else "".join(pending)
-                pending.clear()
-                if open_names:
-                    characters(data, pending_at, walk)
-                elif data.strip(" \t\n"):
-                    # Non-white-space character data outside the root (the
-                    # parser's white-space production, not str.strip()'s).
-                    raise _Restart("text outside root")
-            if kind == 4:  # start tag
-                name = match[2]
-                if not open_names:
-                    if seen_root:
-                        raise _Restart("multiple root elements")
-                    seen_root = True
-                blob = match[3]
-                scope = scopes[-1]
-                if blob:
-                    attributes = _attribute_pairs(blob)
-                    if "xmlns" in blob:
-                        scope = scope.enter(attributes)
-                else:
-                    attributes = ()
-                start(name, attributes, at, scope, walk)
-                if match[4]:  # self-closing
-                    end(walk)
-                else:
-                    open_names.append(name)
-                    scopes.append(scope)
-            else:  # kind == 5: end tag
-                if not open_names or open_names.pop() != match[5]:
-                    raise _Restart("tag mismatch")
-                scopes.pop()
-                end(walk)
-        if open_names:
-            raise _Restart("unclosed element")
-        if not seen_root:
-            raise _Restart("no root element")
-        if pending and "".join(pending).strip(" \t\n"):
-            raise _Restart("text outside root")
         return walk.errors
 
     # -- namespace resolution ---------------------------------------------------
@@ -442,55 +459,7 @@ class StreamingValidator:
             return local
         return expanded_name(uri, local)
 
-    # -- the walker ----------------------------------------------------------------
-
-    def _start(self, name: str, attributes, where, scope: _Scope, walk: _Walk) -> None:
-        key = scope.elements.get(name)
-        if key is None:
-            key = scope.elements[name] = self._element_key(name, scope.bindings)
-        stack = walk.stack
-        if not stack:
-            declaration = self._schema.elements.get(key)
-            if declaration is None:
-                walk.error(
-                    f"root element <{key}> is not a global element of the schema",
-                    where,
-                )
-                stack.append(_SKIP)
-                return
-            if declaration.abstract:
-                walk.error(f"element '{key}' is abstract", where)
-            self._push(declaration, key, attributes, where, scope, walk)
-            return
-        parent = stack[-1]
-        if parent is _SKIP:
-            stack.append(_SKIP)
-            return
-        if parent.matcher is None:
-            # Parent has empty or simple content: no child allowed.
-            walk.error(
-                f"<{key}> is not allowed inside <{parent.facts.name}>",
-                where,
-                walk.path(),
-            )
-            stack.append(_SKIP)
-            return
-        matched = parent.matcher.step(key)
-        if matched is None:
-            expected = (
-                ", ".join(f"<{key_}>" for key_ in parent.matcher.expected())
-                or "no further elements"
-            )
-            walk.error(
-                f"<{key}> is not allowed here inside <{parent.facts.name}>; "
-                f"expected {expected}",
-                where,
-                walk.path(),
-            )
-            stack.append(_SKIP)
-            return
-        assert isinstance(matched, ElementDeclaration)
-        self._push(matched, key, attributes, where, scope, walk)
+    # -- schema facts for the walk ---------------------------------------------------
 
     def _push(
         self,
@@ -579,54 +548,6 @@ class StreamingValidator:
                 declaration, candidate, self._schema, self._use_tables
             )
         return derived
-
-    def _characters(self, data: str, where, walk: _Walk) -> None:
-        stack = walk.stack
-        if not stack:
-            return
-        frame = stack[-1]
-        if frame is _SKIP:
-            return
-        facts = frame.facts
-        if facts.text_kind is not None and data.strip():
-            walk.error(
-                f"<{facts.name}> has {facts.text_kind} but contains text",
-                where,
-                walk.path(),
-            )
-            return
-        if facts.collects:
-            frame.text.append(data)
-
-    def _end(self, walk: _Walk) -> None:
-        frame = walk.stack.pop()
-        if frame is _SKIP:
-            return
-        facts = frame.facts
-        matcher = frame.matcher
-        if matcher is not None and not matcher.at_accepting_state():
-            expected = ", ".join(f"<{key}>" for key in matcher.expected())
-            walk.error(
-                f"content of <{facts.name}> ends too early; expected {expected}",
-                path=walk.path(frame.key),
-            )
-        if not facts.collects:
-            return
-        text = "".join(frame.text)
-        if facts.simple is not None:
-            try:
-                facts.simple.parse(text)
-            except SimpleTypeError as error:
-                walk.error(
-                    f"content of <{facts.name}>: {error.message}",
-                    path=walk.path(frame.key),
-                )
-        if facts.fixed is not None and text != facts.fixed:
-            walk.error(
-                f"element '{facts.name}' must have the "
-                f"fixed value {facts.fixed!r}",
-                path=walk.path(frame.key),
-            )
 
     def _check_attributes(
         self,

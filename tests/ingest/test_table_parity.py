@@ -1,4 +1,4 @@
-"""Table-driven turbo lanes against the object-DFA golden reference.
+"""The table-driven turbo lane against the object-DFA golden reference.
 
 The turbo lane's contract is *observational equality* with
 ``fused_parse(use_tables=False)`` — the object-DFA route preserved as
@@ -8,32 +8,34 @@ and path for rejected ones.  It earns that equality either by handling
 a document inside its subset bit-for-bit, or by restarting into
 ``fused_parse`` and letting the reference produce the verdict — so the
 property must hold over *hostile* corpora (the scanner-parity golden
-set, CRLF documents, expansion bombs), not just clean ones.
-
-Both tokenizer lanes are pinned: the stdlib regex lane always, the
-vectorized structural-index lane whenever numpy is importable.
+set, CRLF documents, expansion bombs, the turbo scanner's edge cases),
+not just clean ones.
 """
 
 import pytest
 
 from repro.core import bind
 from repro.dom.serialize import serialize
-from repro.errors import ReproError
-from repro.ingest import IngestFallback, fused_parse, legacy_parse, table_parse
-from repro.ingest import structural
+from repro.errors import ReproError, XmlSyntaxError
+from repro.ingest import (
+    IngestFallback,
+    fused_parse,
+    legacy_parse,
+    parse_typed,
+    table_parse,
+    validate_files,
+)
 from repro.schemas import (
     PURCHASE_ORDER_DOCUMENT,
     PURCHASE_ORDER_SCHEMA,
     XHTML_SUBSET_SCHEMA,
 )
 from repro.schemas.purchase_order import PURCHASE_ORDER_INVALID_DOCUMENTS
+from repro.xsd import StreamingValidator, parse_schema
 from tests.xml.test_line_endings import CRLF_PURCHASE_ORDER, GOLDEN
 from tests.xml.test_parser import _expansion_bomb
 from tests.xml.test_scanner_parity import ILL_FORMED, WELL_FORMED
-
-#: every tokenizer lane the parity must pin; "index" silently equals
-#: "stdlib" when numpy is missing (the absent-safe degradation itself)
-LANES = ["auto", "stdlib"] + (["index"] if structural.AVAILABLE else [])
+from tests.xsd.test_stream_turbo import SCANNER_EDGES
 
 XHTML_DOCUMENT = """\
 <html>
@@ -75,20 +77,12 @@ def _assert_parity(binding, text):
     golden = _outcome(
         lambda b, t: fused_parse(b, t, use_tables=False), binding, text
     )
-    for lane in LANES:
-        if lane == "index" and not text.isascii():
-            continue  # the ASCII gate; "auto" covers the degradation
-        turbo = _outcome(
-            lambda b, t, lane=lane: table_parse(b, t, lane=lane),
-            binding,
-            text,
-        )
-        assert turbo == golden, f"lane {lane!r} diverged"
+    assert _outcome(table_parse, binding, text) == golden
 
 
 class TestScannerParityCorpus:
     """The 60+ golden scanner documents, most far outside the PO schema:
-    every one must produce the same verdict through every lane."""
+    every one must produce the same verdict through both routes."""
 
     @pytest.mark.parametrize("name", sorted(WELL_FORMED))
     def test_well_formed(self, po_binding, name):
@@ -137,96 +131,43 @@ class TestSchemaVerdicts:
 
     def test_valid_purchase_order(self, po_binding):
         _assert_parity(po_binding, PURCHASE_ORDER_DOCUMENT)
-        for lane in LANES:
-            assert serialize(table_parse(
-                po_binding, PURCHASE_ORDER_DOCUMENT, lane=lane
-            )) == serialize(legacy_parse(po_binding, PURCHASE_ORDER_DOCUMENT))
+        assert serialize(table_parse(
+            po_binding, PURCHASE_ORDER_DOCUMENT
+        )) == serialize(legacy_parse(po_binding, PURCHASE_ORDER_DOCUMENT))
 
     def test_valid_xhtml(self, xhtml_binding):
         _assert_parity(xhtml_binding, XHTML_DOCUMENT)
 
     def test_non_ascii_document(self, po_binding):
-        # Forces the index lane's ASCII gate: "auto" must degrade to the
-        # stdlib scanner and still match the golden route.
+        # Non-ASCII text is inside the turbo subset (only names are
+        # ASCII-only), so offsets are string indices throughout.
         text = PURCHASE_ORDER_DOCUMENT.replace(
             "Mill Valley", "Mill Vällé\U0001f600"
         )
         _assert_parity(po_binding, text)
 
 
-class TestLaneSelection:
-    def test_unknown_lane_rejected(self, po_binding):
-        with pytest.raises(ValueError, match="unknown turbo lane"):
-            table_parse(po_binding, "<a/>", lane="warp")
+class TestScannerEdges:
+    @pytest.mark.parametrize("name", sorted(SCANNER_EDGES))
+    def test_edge_case(self, po_binding, name):
+        _assert_parity(po_binding, SCANNER_EDGES[name][0])
 
-    @pytest.mark.skipif(
-        not structural.AVAILABLE, reason="numpy unavailable"
-    )
-    def test_index_lane_rejects_non_ascii(self, po_binding):
-        with pytest.raises(ValueError):
-            table_parse(
-                po_binding, "<purchaseOrder>é</purchaseOrder>", lane="index"
-            )
-
-
-class TestStructuralIndex:
-    def test_positions_match_str_scan(self):
-        text = '<a x="1"><b>text > with stray gt</b><c/></a>'
-        index = structural.markup_index(text)
-        if index is None:
-            pytest.skip("numpy unavailable")
-        lts, gts = index
-        assert lts == [i for i, c in enumerate(text) if c == "<"]
-        assert gts == [i for i, c in enumerate(text) if c == ">"]
-
-    def test_start_offset_trims(self):
-        text = "<a><b/></a>"
-        index = structural.markup_index(text, start=3)
-        if index is None:
-            pytest.skip("numpy unavailable")
-        lts, gts = index
-        assert all(p >= 3 for p in lts + gts)
-        assert lts == [3, 7]
-
-    def test_non_ascii_returns_none(self):
-        if not structural.AVAILABLE:
-            pytest.skip("numpy unavailable")
-        assert structural.markup_index("<a>é</a>") is None
-
-    def test_absent_numpy_is_clean(self, tmp_path):
-        """REPRO_NO_NUMPY must yield AVAILABLE=False and full parity."""
-        import os
-        import subprocess
-        import sys
-
-        script = (
-            "from repro.ingest import structural, table_parse, fused_parse\n"
-            "from repro.core import bind\n"
-            "from repro.dom.serialize import serialize\n"
-            "from repro.schemas import PURCHASE_ORDER_SCHEMA, "
-            "PURCHASE_ORDER_DOCUMENT\n"
-            "assert structural.AVAILABLE is False\n"
-            "assert structural.markup_index('<a/>') is None\n"
-            "binding = bind(PURCHASE_ORDER_SCHEMA)\n"
-            "assert serialize(table_parse(binding, PURCHASE_ORDER_DOCUMENT))"
-            " == serialize(fused_parse(binding, PURCHASE_ORDER_DOCUMENT,"
-            " use_tables=False))\n"
-            "print('no-numpy-ok')\n"
+    def test_empty_reference_is_one_syntax_error(self, po_binding, tmp_path):
+        """``&;`` leaves the turbo subset; every route reports the event
+        parser's syntax error, and a bulk run records one failed verdict."""
+        text = '<purchaseOrder orderDate="1999-10-20">&;</purchaseOrder>'
+        message = "malformed entity reference '&;'"
+        with pytest.raises(XmlSyntaxError, match=message):
+            parse_typed(po_binding, text)
+        with pytest.raises(XmlSyntaxError, match=message):
+            StreamingValidator(parse_schema(PURCHASE_ORDER_SCHEMA)).validate_text(text)
+        path = tmp_path / "empty-reference.xml"
+        path.write_text(text, encoding="utf-8")
+        report = validate_files(
+            PURCHASE_ORDER_SCHEMA, [path], jobs=1, use_verdict_cache=False
         )
-        env = dict(os.environ, REPRO_NO_NUMPY="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            part
-            for part in (
-                os.path.join(os.path.dirname(__file__), "..", "..", "src"),
-                env.get("PYTHONPATH"),
-            )
-            if part
-        )
-        completed = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert "no-numpy-ok" in completed.stdout
+        assert report["summary"]["documents"] == 1
+        assert report["summary"]["invalid"] == 1
+        (record,) = report["files"]
+        assert record["error_type"] == "XmlSyntaxError"
+        assert message in record["error"]

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro import obs
 from repro.core.vdom import bind
-from repro.errors import XmlSyntaxError
+from repro.errors import ReproError, XmlSyntaxError
 from repro.ingest.fused import IngestFallback
 from repro.ingest.table_driven import table_parse
 from repro.schemas import (
@@ -184,6 +184,44 @@ RESTARTS = {
     ),
 }
 
+_HURRY = "<comment>Hurry"
+
+#: turbo-scanner edge cases -> (document, the restart reason, or None
+#: when the scanner walks the whole document).  A ``>`` inside an
+#: attribute value is legal XML, but it ends the tag body the scanner
+#: slices, so it restarts.
+SCANNER_EDGES = {
+    "gt in attribute value": (
+        PURCHASE_ORDER_DOCUMENT.replace('country="US"', 'country="U>S"', 1),
+        "tokenizer",
+    ),
+    "empty reference": (_PO_ROOT + "&;</purchaseOrder>", "entity reference"),
+    "empty character reference": (
+        PURCHASE_ORDER_DOCUMENT.replace(_HURRY, _HURRY + "&#;"),
+        "character reference",
+    ),
+    "empty hex character reference": (
+        PURCHASE_ORDER_DOCUMENT.replace(_HURRY, _HURRY + "&#x;"),
+        "character reference",
+    ),
+    "unterminated reference": (
+        PURCHASE_ORDER_DOCUMENT.replace(_HURRY, _HURRY + " &amp"),
+        "unterminated reference",
+    ),
+    "reference before a tag": (
+        PURCHASE_ORDER_DOCUMENT.replace("wild</comment>", "wild&amp;</comment>"),
+        None,
+    ),
+    "bom and xml declaration": (
+        '\ufeff<?xml version="1.0" encoding="UTF-8"?>\n'
+        + PURCHASE_ORDER_DOCUMENT.replace("1999-10-20", "1999-13-20"),
+        None,
+    ),
+    "self-closing root": (_PO_ROOT[:-1] + "/>", None),
+    "trailing white space": (PURCHASE_ORDER_DOCUMENT + "\n \t\n", None),
+    "trailing text": (PURCHASE_ORDER_DOCUMENT + "trailing", "text outside root"),
+}
+
 
 def _counters(action):
     obs.enable(reset=True)
@@ -220,8 +258,56 @@ class TestLaneCounters:
 
         def ingest():
             try:
-                table_parse(binding, RESTARTS[reason], lane="stdlib")
+                table_parse(binding, RESTARTS[reason])
             except (IngestFallback, XmlSyntaxError):
+                pass  # only the restart counter is of interest here
+
+        counters = _counters(ingest)
+        assert counters[f"ingest.turbo{{outcome=restart,reason={reason}}}"] == 1
+
+    def test_typed_ingest_counts_one_outcome_per_document(self):
+        binding = bind(PURCHASE_ORDER_SCHEMA)
+
+        def routes(text):
+            counters = _counters(lambda: table_parse(binding, text))
+            return {
+                key: value for key, value in counters.items()
+                if key.startswith("ingest.turbo{")
+            }
+
+        assert routes(PURCHASE_ORDER_DOCUMENT) == {"ingest.turbo{outcome=hit}": 1}
+        assert routes(RESTARTS["comment"]) == {
+            "ingest.turbo{outcome=restart,reason=comment}": 1
+        }
+
+
+class TestScannerEdges:
+    @pytest.mark.parametrize("name", sorted(SCANNER_EDGES))
+    def test_parity(self, name):
+        text, _ = SCANNER_EDGES[name]
+        assert_parity("po", text)
+        assert_parity("scanner", text)
+
+    @pytest.mark.parametrize("name", sorted(SCANNER_EDGES))
+    def test_routes(self, name):
+        """Both lanes leave the subset at the same edge cases, for the
+        same reason; the validator walks the rest to the end."""
+        text, reason = SCANNER_EDGES[name]
+        counters = _counters(lambda: outcome(TURBO["po"], text))
+        routes = {
+            key: value for key, value in counters.items()
+            if key.startswith("xsd.stream{")
+        }
+        if reason is None:
+            assert routes == {"xsd.stream{lane=turbo}": 1}
+            return
+        assert routes == {f"xsd.stream{{outcome=restart,reason={reason}}}": 1}
+        binding = bind(PURCHASE_ORDER_SCHEMA)
+
+        def ingest():
+            try:
+                table_parse(binding, text)
+            except ReproError:
                 pass  # only the restart counter is of interest here
 
         counters = _counters(ingest)
@@ -516,12 +602,19 @@ class TestGeneratedDocuments:
 
 
 def test_streaming_validation_does_not_load_ingest_or_numpy():
-    """The serve tier and the validator reach the turbo grammar without
-    importing :mod:`repro.ingest` (and, through it, numpy)."""
+    """The serve tier and the validator reach the turbo scanner without
+    importing :mod:`repro.ingest`, and typed ingest runs on the stdlib:
+    neither loads numpy."""
     probe = (
         "import sys, repro.serve, repro.xsd.stream\n"
         "loaded = [name for name in ('numpy', 'repro.ingest.table_driven')"
         " if name in sys.modules]\n"
+        "import repro.ingest\n"
+        "from repro.core import bind\n"
+        "from repro.schemas import PURCHASE_ORDER_SCHEMA, PURCHASE_ORDER_DOCUMENT\n"
+        "repro.ingest.parse_typed(bind(PURCHASE_ORDER_SCHEMA),"
+        " PURCHASE_ORDER_DOCUMENT)\n"
+        "loaded += ['numpy (typed ingest)'] if 'numpy' in sys.modules else []\n"
         "print(','.join(loaded))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
