@@ -26,7 +26,9 @@ from typing import Any
 #: (Clark) names, declarations carry ``target_namespace``, schemas
 #: record ``related_documents`` (include/import manifest) and
 #: ``subset_roots`` (lazy per-subset binding artifacts).
-CACHE_FORMAT_VERSION = 5
+#: 6: a template's generated ``text_source`` takes its hole values as one
+#: mapping, ``render_text(values)``, instead of one keyword per hole.
+CACHE_FORMAT_VERSION = 6
 
 
 def _library_version() -> str:

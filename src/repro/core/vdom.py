@@ -41,6 +41,7 @@ from repro.dom.charnodes import Text
 from repro.dom.document import Document
 from repro.dom.element import Element
 from repro.dom.node import Node
+from repro.xml.chars import WHITESPACE
 from repro.xsd.components import (
     ANY_TYPE,
     ComplexType,
@@ -249,7 +250,7 @@ class TypedElement(Element):
         content_type = complex_type.content_type
         children = self.child_elements()
         has_text = any(
-            isinstance(node, Text) and node.data.strip()
+            isinstance(node, Text) and node.data.strip(WHITESPACE)
             for node in self.iter_children()
         )
         if content_type is ContentType.EMPTY:
@@ -895,7 +896,7 @@ class Binding:
                         )
                     assert isinstance(matched, ElementDeclaration)
                     children.append(self._from_dom(node, matched))
-                elif isinstance(node, Text) and node.data.strip():
+                elif isinstance(node, Text) and node.data.strip(WHITESPACE):
                     children.append(node.data)
         else:
             text = element.text_content

@@ -10,7 +10,7 @@ benchmarks.
 from __future__ import annotations
 
 from repro.errors import DtdValidationError
-from repro.xml.chars import is_name, is_nmtoken
+from repro.xml.chars import WHITESPACE, is_name, is_nmtoken, split_whitespace
 from repro.automata import Dfa, build_dfa
 from repro.dom.charnodes import Text
 from repro.dom.document import Document
@@ -97,7 +97,7 @@ class DtdValidator:
     ) -> None:
         child_elements = element.child_elements()
         has_text = any(
-            isinstance(node, Text) and node.data.strip()
+            isinstance(node, Text) and node.data.strip(WHITESPACE)
             for node in element.iter_children()
         )
         if kind is ContentKind.EMPTY:
@@ -212,14 +212,14 @@ class DtdValidator:
             if not is_name(value):
                 complain("must be a Name")
         elif att_type in (AttType.IDREFS, AttType.ENTITIES):
-            tokens = value.split()
+            tokens = split_whitespace(value)
             if not tokens or not all(is_name(token) for token in tokens):
                 complain("must be one or more Names")
         elif att_type is AttType.NMTOKEN:
             if not is_nmtoken(value):
                 complain("must be an NMTOKEN")
         elif att_type is AttType.NMTOKENS:
-            tokens = value.split()
+            tokens = split_whitespace(value)
             if not tokens or not all(is_nmtoken(token) for token in tokens):
                 complain("must be one or more NMTOKENs")
         elif att_type in (AttType.ENUMERATION, AttType.NOTATION):
@@ -255,7 +255,7 @@ class DtdValidator:
                     references.append((value, element.tag_name))
                 elif definition.att_type is AttType.IDREFS:
                     references.extend(
-                        (token, element.tag_name) for token in value.split()
+                        (token, element.tag_name) for token in split_whitespace(value)
                     )
         for value, element_name in references:
             if value not in seen_ids:

@@ -44,6 +44,7 @@ from repro.dom.attr import NamedNodeMap
 from repro.dom.builder import parse_document
 from repro.dom.charnodes import Text
 from repro.core.vdom import Binding, TypedElement
+from repro.xml.chars import WHITESPACE
 from repro.xml.events import Characters, DoctypeDecl, EndElement, StartElement
 from repro.xml.parser import PullParser
 from repro.xsd.components import ANY_TYPE, ComplexType, ContentType
@@ -195,7 +196,7 @@ class _TypedWalk:
     def characters(self, data: str, where) -> None:
         frame = self._stack[-1]
         if frame.structured:
-            if data.strip():
+            if data.strip(WHITESPACE):
                 frame.children.append(data)
         else:
             frame.text_parts.append(data)
@@ -496,7 +497,7 @@ def _construct(binding: Binding, frame: _Frame) -> TypedElement:
                 if attrs or frame.has_required:
                     element._check_attributes(type_definition)
                 if frame.content_type is ContentType.EMPTY:
-                    if data.strip():
+                    if data.strip(WHITESPACE):
                         raise VdomTypeError(
                             f"<{tag}> must be empty"
                         )

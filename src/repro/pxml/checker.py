@@ -25,6 +25,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Any
 
 from repro.errors import PxmlStaticError, SimpleTypeError, VdomStateError
+from repro.xml.chars import WHITESPACE
 from repro.xsd.components import ANY_TYPE, ComplexType, ContentType, ElementDeclaration
 from repro.xsd.simple import SimpleType
 from repro.core.vdom import Binding, TypedElement, VdomGroup
@@ -243,7 +244,7 @@ class _Checker:
 
     def _check_empty(self, node: TemplateElement) -> None:
         for child in node.children:
-            if isinstance(child, TemplateText) and not child.data.strip():
+            if isinstance(child, TemplateText) and not child.data.strip(WHITESPACE):
                 continue
             raise PxmlStaticError(
                 f"<{node.name}> must be empty",
@@ -392,7 +393,7 @@ class _Checker:
 
         for child in node.children:
             if isinstance(child, TemplateText):
-                if child.data.strip() and not mixed:
+                if child.data.strip(WHITESPACE) and not mixed:
                     raise PxmlStaticError(
                         f"<{node.name}> has element-only content and may "
                         "not contain text",

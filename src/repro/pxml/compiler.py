@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.core.vdom import lexicalize
+from repro.xml.chars import WHITESPACE
 from repro.pxml.ast import (
     Hole,
     TemplateAttribute,
@@ -53,11 +54,13 @@ def compile_text_template(
     """Segment-compile *checked* to a direct-to-text render function.
 
     Returns ``(program, source, callable)``; the callable's signature is
-    ``render_text(*, hole1, hole2, ...)`` and it returns the serialized
-    markup string — identical bytes to ``serialize(render(...))`` — with
-    no ``TypedElement`` tree in between.  Returns ``(None, None, None)``
-    when the template's shape is not segment-compilable (the caller
-    keeps the DOM route).
+    ``render_text(values)``, one mapping from hole name to value, and it
+    returns the serialized markup string — identical bytes to
+    ``serialize(render(...))`` — with no ``TypedElement`` tree in
+    between.  The callable trusts ``values`` to hold exactly the holes
+    (:meth:`repro.pxml.Template.render_text_mapping` checks that).
+    Returns ``(None, None, None)`` when the template's shape is not
+    segment-compilable (the caller keeps the DOM route).
     """
     program = compile_segments(checked)
     if program is None:
@@ -83,15 +86,16 @@ def compile_text_source(
 def emit_text_source(
     program: SegmentProgram, function_name: str = "render_text"
 ) -> str:
-    """Just the generated text-render source (reviewable artifact)."""
-    holes = program.hole_names
-    signature = f"def {function_name}("
-    if holes:
-        signature += "*, " + ", ".join(holes)
-    signature += "):"
-    lines = [signature]
+    """Just the generated text-render source (reviewable artifact).
+
+    Hole values arrive as one mapping and each hole is read as
+    ``values['name']``.  Hole names never become Python identifiers
+    here, so a hole may share its name with a local of this function,
+    and a call costs one lookup per hole, however many holes there are.
+    """
+    lines = [f"def {function_name}(values):"]
     for name in program.element_hole_names:
-        lines.append(f"    _hole_specs[{name!r}].accepts({name})")
+        lines.append(f"    _hole_specs[{name!r}].accepts(values[{name!r}])")
     segments = program.segments
     if len(segments) == 1 and type(segments[0]) is str:
         lines.append(f"    return {segments[0]!r}")
@@ -107,7 +111,7 @@ def emit_text_source(
         if type(segment) is str:
             lines.append(f"    _a({segment!r})")
         elif type(segment) is ElementHole:
-            lines.append(f"    _w({segment.name}, _p)")
+            lines.append(f"    _w(values[{segment.name!r}], _p)")
         else:
             escape = "_esc_t" if segment.escape == "text" else "_esc_a"
             expression = _run_expression(segment)
@@ -124,7 +128,7 @@ def emit_text_source(
 
 def _run_expression(run: Run) -> str:
     pieces = [
-        repr(payload) if kind == "lit" else f"_lex({payload})"
+        repr(payload) if kind == "lit" else f"_lex(values[{payload!r}])"
         for kind, payload in run.parts
     ]
     return " + ".join(pieces) if pieces else "''"
@@ -174,7 +178,7 @@ class _Compiler:
         arguments: list[str] = []
         for child in node.children:
             if isinstance(child, TemplateText):
-                if child.data.strip() or child.cdata:
+                if child.data.strip(WHITESPACE) or child.cdata:
                     arguments.append(repr(child.data))
                 # pure-whitespace literals between elements are layout
             elif isinstance(child, Hole):

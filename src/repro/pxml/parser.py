@@ -12,6 +12,8 @@ Comments are dropped (they are developer notes in templates).
 
 from __future__ import annotations
 
+import keyword
+
 from repro.errors import PxmlSyntaxError, XmlSyntaxError
 from repro.xml.chars import is_xml_char
 from repro.xml.entities import resolve_reference
@@ -23,6 +25,12 @@ from repro.pxml.ast import (
     TemplateElement,
     TemplateText,
 )
+
+
+#: Names the generated DOM-route ``render(factory, *, hole, ...)`` (and the
+#: preprocessor's calls to it) use next to its hole parameters; a hole of
+#: that name would shadow or duplicate one of them.
+RESERVED_HOLE_NAMES = frozenset({"factory", "_lex", "_hole_specs"})
 
 
 def parse_template(source: str, origin: str | None = None) -> TemplateElement:
@@ -224,6 +232,16 @@ class _TemplateParser:
         if not name.isidentifier():
             raise PxmlSyntaxError(
                 f"hole name '{name}' is not a valid identifier", location
+            )
+        if keyword.iskeyword(name):
+            raise PxmlSyntaxError(
+                f"hole name '{name}' is a Python keyword", location
+            )
+        if name in RESERVED_HOLE_NAMES:
+            raise PxmlSyntaxError(
+                f"hole name '{name}' is reserved by the generated render "
+                "function",
+                location,
             )
         if colon and not annotation:
             raise PxmlSyntaxError(

@@ -12,6 +12,7 @@ from typing import Any
 
 from repro.errors import PxmlStaticError
 from repro.core.vdom import TypedElement, lexicalize
+from repro.xml.chars import WHITESPACE
 from repro.pxml.ast import Hole, TemplateElement, TemplateText
 from repro.pxml.checker import CheckedTemplate
 
@@ -33,7 +34,7 @@ def _check_hole_values(checked: CheckedTemplate, values: dict[str, Any]) -> None
 
 
 def render_interpreted(
-    checked: CheckedTemplate, **values: Any
+    checked: CheckedTemplate, /, **values: Any
 ) -> TypedElement:
     """Render *checked* with hole *values* by direct AST interpretation."""
     _check_hole_values(checked, values)
@@ -43,7 +44,9 @@ def render_interpreted(
 _UNCOMPILED = object()  # sentinel: segments not attempted yet for a template
 
 
-def render_text_interpreted(checked: CheckedTemplate, **values: Any) -> str:
+def render_text_interpreted(
+    checked: CheckedTemplate, /, **values: Any
+) -> str:
     """Interpreted twin of the segment-compiled ``render_text``.
 
     Lazily partitions the checked AST into a :class:`SegmentProgram`
@@ -78,7 +81,7 @@ def _build_element(
     children: list[Any] = []
     for child in node.children:
         if isinstance(child, TemplateText):
-            if child.data.strip() or child.cdata:
+            if child.data.strip(WHITESPACE) or child.cdata:
                 children.append(child.data)
         elif isinstance(child, Hole):
             spec = checked.holes[child.name]

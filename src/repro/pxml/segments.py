@@ -31,6 +31,7 @@ from repro.errors import SimpleTypeError, VdomTypeError
 from repro.xsd.components import ANY_TYPE, ComplexType, ContentType
 from repro.xsd.simple import SimpleType
 from repro.core.vdom import lexicalize
+from repro.xml.chars import WHITESPACE
 from repro.xml.entities import escape_attribute, escape_text
 from repro.dom.serialize import write_node
 from repro.pxml.ast import Hole, TemplateElement, TemplateText
@@ -288,7 +289,7 @@ class _SegmentBuilder:
         kept: list[Any] = []
         for child in node.children:
             if isinstance(child, TemplateText):
-                if child.data.strip() or child.cdata:
+                if child.data.strip(WHITESPACE) or child.cdata:
                     kept.append(child)
                 # pure-whitespace layout text is dropped, as in compiled
                 # factory-call code

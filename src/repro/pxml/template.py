@@ -54,6 +54,7 @@ class Template:
         self.text_source: str | None = None
         self._segments = None
         self._hole_names: list[str] = []
+        self._hole_set: frozenset[str] = frozenset()
         self._hole_specs: dict[str, Any] = {}
         self._root_name: str | None = None
         cache_key = self._cache_key(cache, source, param_types, compiled)
@@ -63,6 +64,7 @@ class Template:
         self._root_name = self.ast.name
         self.checked = check_template(binding, self.ast, param_types)
         self._hole_names = self.checked.hole_names()
+        self._hole_set = frozenset(self._hole_names)
         self._hole_specs = self.checked.holes
         if compiled:
             self.generated_source, self._render = compile_template(self.checked)
@@ -118,6 +120,7 @@ class Template:
         self._root_name = record["root"]
         self.generated_source = record["generated_source"]
         self._hole_names = sorted(record["holes"])
+        self._hole_set = frozenset(self._hole_names)
         self._hole_specs = record["holes"]
         namespace: dict[str, Any] = {
             "_lex": lexicalize,
@@ -187,14 +190,14 @@ class Template:
         )
         return candidates[0] if len(candidates) == 1 else None
 
-    def render(self, **values: Any) -> TypedElement:
+    def render(self, /, **values: Any) -> TypedElement:
         """Instantiate the template; returns a typed (valid) element."""
         if self._render is not None:
             return self._render(self.binding.factory, **values)
         assert self.checked is not None
         return render_interpreted(self.checked, **values)
 
-    def render_text(self, **values: Any) -> str:
+    def render_text(self, /, **values: Any) -> str:
         """Render directly to serialized markup, skipping the DOM.
 
         Byte-identical to ``serialize(self.render(**values))`` but emits
@@ -204,9 +207,21 @@ class Template:
         whose shape the segment compiler declines transparently take the
         render-then-serialize route.
         """
+        return self.render_text_mapping(values)
+
+    def render_text_mapping(self, values: dict[str, Any]) -> str:
+        """:meth:`render_text` with the hole values as one dict.
+
+        For a caller that already holds the values in a dict (the serve
+        tier's query parameters): nothing is unpacked into keywords, so
+        the cost is linear in the holes.  A missing or unknown hole
+        raises the ``TypeError`` a keyword call would.
+        """
         if self._render_text is not None:
             obs.count("render.route", route="segment")
-            return self._render_text(**values)
+            if values.keys() != self._hole_set:
+                raise _hole_mismatch(values, self._hole_names)
+            return self._render_text(values)
         if self.checked is not None:
             return render_text_interpreted(self.checked, **values)
         # A cached template whose segment program did not survive
@@ -216,7 +231,7 @@ class Template:
 
         return serialize(self.render(**values))
 
-    def stream_text(self, **values: Any) -> list[str] | None:
+    def stream_text(self, /, **values: Any) -> list[str] | None:
         """The ``render_text`` output as a list of pieces, or ``None``.
 
         The pieces concatenate to exactly ``render_text(**values)`` —
@@ -237,7 +252,7 @@ class Template:
         obs.count("render.route", route="segment-stream")
         return self._segments.fill(values, check=True)
 
-    def render_document(self, **values: Any):
+    def render_document(self, /, **values: Any):
         """Render and wrap in a document (root must be global)."""
         return self.binding.document(self.render(**values))
 
@@ -246,6 +261,30 @@ class Template:
         return (
             f"Template(<{self._root_name}>, holes={self.hole_names}, {mode})"
         )
+
+
+def _hole_mismatch(values: dict[str, Any], hole_names: list[str]) -> TypeError:
+    """The ``TypeError`` CPython raises for a keyword-only ``render_text``
+    called with *values*: the first unknown name wins, else every
+    missing name is listed in hole order."""
+    holes = set(hole_names)
+    for name in values:
+        if name not in holes:
+            return TypeError(
+                f"render_text() got an unexpected keyword argument '{name}'"
+            )
+    missing = [repr(name) for name in hole_names if name not in values]
+    if len(missing) == 1:
+        names = missing[0]
+    elif len(missing) == 2:
+        names = f"{missing[0]} and {missing[1]}"
+    else:
+        names = ", ".join(missing[:-1]) + f", and {missing[-1]}"
+    plural = "" if len(missing) == 1 else "s"
+    return TypeError(
+        f"render_text() missing {len(missing)} required keyword-only "
+        f"argument{plural}: {names}"
+    )
 
 
 def template_for(binding: Binding, source: str, **kwargs: Any) -> Template:

@@ -53,7 +53,7 @@ def _render_hit_text(template: Template, values: dict[str, Any]) -> str:
         obs.count("query.transform", route="segment")
     else:
         obs.count("query.transform", route="dom", reason="no-segment-program")
-    return template.render_text(**values)
+    return template.render_text_mapping(values)
 
 
 class TypedTransform:

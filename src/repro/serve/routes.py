@@ -105,7 +105,7 @@ class Route:
             values = {
                 key: value for key, value in params.items() if key in holes
             }
-            return self._template.render_text(**values)
+            return self._template.render_text_mapping(values)
         obs.count("serve.fallback", route=self.name, reason="serverpage")
         return self._page.render(**params)
 
@@ -137,10 +137,7 @@ class Route:
         """
         if self.fingerprint is None:
             return None
-        return (
-            self.fingerprint,
-            tuple(params.get(name) for name in self._ordered_holes),
-        )
+        return (self.fingerprint, tuple(map(params.get, self._ordered_holes)))
 
 
 class RouteTable:

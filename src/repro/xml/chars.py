@@ -148,12 +148,28 @@ _NAME_MATCH = re.compile(f"[{name_start_class()}][{name_char_class()}]*").fullma
 _NMTOKEN_MATCH = re.compile(f"[{name_char_class()}]+").fullmatch
 
 
-def collapse_whitespace(text: str) -> str:
-    """Apply the schema ``whiteSpace=collapse`` normalization."""
-    return " ".join(text.split())
+# White space is exactly ``WHITESPACE`` (production [3]).  Python's own
+# ``str.split()``/``str.strip()``/``str.isspace()`` also take NBSP,
+# U+2028, U+3000 and the other Unicode spaces, so every "is this only
+# white space" test strips ``WHITESPACE`` explicitly and every list
+# split goes through :func:`split_whitespace`.
 
 
 def replace_whitespace(text: str) -> str:
     """Apply the schema ``whiteSpace=replace`` normalization."""
-    table = str.maketrans({"\t": " ", "\n": " ", "\r": " "})
-    return text.translate(table)
+    if "\t" in text or "\n" in text or "\r" in text:
+        return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
+    return text
+
+
+def split_whitespace(text: str) -> list[str]:
+    """The words of *text* between runs of XML white space."""
+    return [word for word in replace_whitespace(text).split(" ") if word]
+
+
+def collapse_whitespace(text: str) -> str:
+    """Apply the schema ``whiteSpace=collapse`` normalization."""
+    text = replace_whitespace(text)
+    if "  " in text or text[:1] == " " or text[-1:] == " ":
+        return " ".join(split_whitespace(text))
+    return text

@@ -9,6 +9,7 @@ type is built (:mod:`repro.xsd.simple`).
 from __future__ import annotations
 
 import decimal
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
@@ -37,9 +38,113 @@ class Pattern:
         return compile_pattern(self.source).fullmatch(literal) is not None
 
 
+def decimal_digits(value: decimal.Decimal) -> tuple[int, int]:
+    """``(total, fraction)`` digits of a finite decimal value.
+
+    The value is ``i × 10^-n`` with ``n >= 0`` as small as possible; it
+    has ``n`` fraction digits and ``max(digits of i, n)`` total digits
+    (XSD Part 2 §4.3.11-12).  Read off the coefficient, not through
+    ``normalize()``: that strips trailing integer zeros into a positive
+    exponent (``100`` becomes ``1E+2``, one digit) and rounds to the
+    context precision.
+    """
+    _, digits, exponent = value.as_tuple()
+    if not any(digits):
+        return 1, 0
+    if exponent >= 0:
+        return len(digits) + exponent, 0
+    fraction = -exponent
+    end = len(digits)
+    while fraction and digits[end - 1] == 0:
+        end -= 1
+        fraction -= 1
+    return max(end, fraction), fraction
+
+
 def _value_length(value: Any) -> int:
     """Facet 'length' counts characters, list items, or bytes."""
     return len(value)
+
+
+# -- compiled value steps (see ``FacetSet.compiled_value_steps``) --------------
+
+
+def _length_step(length: int) -> Callable[[Any, str], None]:
+    def step(value: Any, literal: str) -> None:
+        if len(value) != length:
+            raise SimpleTypeError(
+                f"'{literal}' has length {len(value)}, "
+                f"facet requires exactly {length}"
+            )
+
+    return step
+
+
+def _min_length_step(min_length: int) -> Callable[[Any, str], None]:
+    def step(value: Any, literal: str) -> None:
+        if len(value) < min_length:
+            raise SimpleTypeError(
+                f"'{literal}' is shorter than minLength {min_length}"
+            )
+
+    return step
+
+
+def _max_length_step(max_length: int) -> Callable[[Any, str], None]:
+    def step(value: Any, literal: str) -> None:
+        if len(value) > max_length:
+            raise SimpleTypeError(
+                f"'{literal}' is longer than maxLength {max_length}"
+            )
+
+    return step
+
+
+def _bound_step(
+    bound: Any, outside: Callable[[Any, Any], bool], message: str
+) -> Callable[[Any, str], None]:
+    def step(value: Any, literal: str) -> None:
+        try:
+            if outside(value, bound):
+                raise SimpleTypeError(f"'{literal}' {message}")
+        except TypeError:
+            raise SchemaError(
+                f"range facet value is not comparable with '{literal}'"
+            )
+
+    return step
+
+
+def _int_digits_step(
+    total_digits: int, check_digits: Callable[[Any, str], None]
+) -> Callable[[Any, str], None]:
+    # For t >= 1, |i| < 10^t is "at most t digits".  Every value has at
+    # least one digit, so for t <= 0 the limit 0 passes none of them.
+    limit = 10**total_digits if total_digits > 0 else 0
+
+    def step(value: Any, literal: str) -> None:
+        if type(value) is int and -limit < value < limit:
+            return
+        check_digits(value, literal)
+
+    return step
+
+
+def _enumeration_step(enumeration: tuple[Any, ...]) -> Callable[[Any, str], None]:
+    allowed = ", ".join(repr(item) for item in enumeration)
+    members: Any
+    try:
+        members = frozenset(enumeration)
+    except TypeError:  # an unhashable value: compare one by one
+        members = enumeration
+
+    def step(value: Any, literal: str) -> None:
+        if value not in members:
+            raise SimpleTypeError(
+                f"'{literal}' is not among the enumerated values: {allowed}"
+            )
+
+    return step
 
 
 @dataclass
@@ -142,14 +247,9 @@ class FacetSet:
             if isinstance(value, int)
             else None
         )
-        if as_decimal is None:
+        if as_decimal is None or not as_decimal.is_finite():
             return
-        sign, digits, exponent = as_decimal.normalize().as_tuple()
-        del sign
-        if not isinstance(exponent, int):  # NaN/Inf tuples
-            return
-        fraction = max(0, -exponent)
-        total = max(len(digits), fraction)
+        total, fraction = decimal_digits(as_decimal)
         if self.total_digits is not None and total > self.total_digits:
             raise SimpleTypeError(
                 f"'{literal}' has {total} digits, totalDigits allows "
@@ -160,6 +260,63 @@ class FacetSet:
                 f"'{literal}' has {fraction} fraction digits, "
                 f"fractionDigits allows {self.fraction_digits}"
             )
+
+    # -- compiled checks ----------------------------------------------------------
+    #
+    # ``check_lexical`` and ``check_value`` walk every facet for every
+    # literal; they define the semantics and stay as the test oracle.  A
+    # simple type compiles its facets once (``SimpleType.parse``) into
+    # the pieces below: the same checks in the same order with the same
+    # messages, for only the facets the set actually carries.
+
+    def compiled_patterns(
+        self,
+    ) -> tuple[tuple[tuple[Callable[[str], Any], ...], str], ...]:
+        """Per derivation step: the alternatives' precompiled
+        ``fullmatch`` functions, and the sources its message names."""
+        return tuple(
+            (
+                tuple(compile_pattern(p.source).fullmatch for p in alternatives),
+                " | ".join(p.source for p in alternatives),
+            )
+            for alternatives in self.patterns
+        )
+
+    def compiled_value_steps(
+        self, int_values: bool
+    ) -> tuple[Callable[[Any, str], None], ...]:
+        """``check_value`` as one ``step(value, literal)`` per facet.
+
+        *int_values* promises every value is an ``int`` (the types
+        derived from ``xs:integer``).  An int has 0 fraction digits, so
+        it gets no fraction-digits step, and ``totalDigits`` becomes an
+        integer range test.
+        """
+        steps: list[Callable[[Any, str], None]] = []
+        if self.length is not None:
+            steps.append(_length_step(self.length))
+        if self.min_length is not None:
+            steps.append(_min_length_step(self.min_length))
+        if self.max_length is not None:
+            steps.append(_max_length_step(self.max_length))
+        for bound, outside, message in (
+            (self.min_inclusive, operator.lt, "is below minInclusive"),
+            (self.max_inclusive, operator.gt, "is above maxInclusive"),
+            (self.min_exclusive, operator.le, "is not above minExclusive"),
+            (self.max_exclusive, operator.ge, "is not below maxExclusive"),
+        ):
+            if bound is not None:
+                steps.append(_bound_step(bound, outside, f"{message} {bound}"))
+        if int_values and (self.fraction_digits or 0) >= 0:
+            if self.total_digits is not None:
+                steps.append(
+                    _int_digits_step(self.total_digits, self._check_digits)
+                )
+        elif self.total_digits is not None or self.fraction_digits is not None:
+            steps.append(self._check_digits)
+        if self.enumeration is not None:
+            steps.append(_enumeration_step(self.enumeration))
+        return tuple(steps)
 
     # -- derivation -------------------------------------------------------------
 

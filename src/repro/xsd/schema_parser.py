@@ -34,6 +34,7 @@ import os
 from typing import Callable
 
 from repro.errors import SchemaError, SimpleTypeError, UnsupportedFeatureError
+from repro.xml.chars import split_whitespace
 from repro.xml.qname import XML_NAMESPACE, XSD_NAMESPACE
 from repro.dom import Element, parse_document
 from repro.automata.rex import UNBOUNDED
@@ -1212,7 +1213,7 @@ class _DocParser:
 
     def _parse_simple_union(self, node: Element, name: str | None) -> SimpleType:
         members: list[SimpleType] = []
-        member_references = node.get_attribute("memberTypes").split()
+        member_references = split_whitespace(node.get_attribute("memberTypes"))
         for reference in member_references:
             members.append(self._resolve_simple_type_reference(reference, node))
         for local, child in self._xsd_children(node):

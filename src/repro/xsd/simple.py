@@ -16,7 +16,11 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.errors import SchemaError, SimpleTypeError
-from repro.xml.chars import collapse_whitespace, replace_whitespace
+from repro.xml.chars import (
+    collapse_whitespace,
+    replace_whitespace,
+    split_whitespace,
+)
 from repro.xsd import values
 from repro.xsd.facets import FacetSet, WhiteSpace
 
@@ -80,6 +84,8 @@ class SimpleType:
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
+        # The chain holds closures; a warm start compiles it again.
+        state.pop("_chain", None)
         # A derived type usually shares its base's kernel object; that
         # reference may be an unpicklable closure (the Gregorian
         # builtins).  Mark it inherited and re-resolve after load.
@@ -115,27 +121,45 @@ class SimpleType:
     # -- parsing ---------------------------------------------------------------
 
     def normalize(self, raw: str) -> str:
-        mode = self.facets.white_space
-        if mode == WhiteSpace.COLLAPSE:
-            return collapse_whitespace(raw)
-        if mode == WhiteSpace.REPLACE:
-            return replace_whitespace(raw)
-        return raw
+        normalizer = _NORMALIZERS[self.facets.white_space]
+        return raw if normalizer is None else normalizer(raw)
+
+    #: the compiled check chain, built on the first ``parse``
+    _chain: Callable[[str], Any] | None = None
 
     def parse(self, raw: str) -> Any:
-        """Map a raw literal to its value, enforcing every facet."""
-        literal = self.normalize(raw)
-        self.facets.check_lexical(literal)
+        """Map a raw literal to its value, enforcing every facet.
+
+        Runs this type's check chain, compiled from its facets on first
+        use: white-space normalization, pattern facets, the kernel, then
+        the value facets (``FacetSet.compiled_value_steps``).  The chain
+        gives the values and ``SimpleTypeError`` messages of the
+        interpreted walk over ``FacetSet.check_lexical`` and
+        ``check_value``.
+        """
+        chain = self._chain
+        if chain is None:
+            chain = self._chain = self._compile()
+        return chain(raw)
+
+    def _compile(self) -> Callable[[str], Any]:
+        facets = self.facets
         if self.variety is Variety.ATOMIC:
-            value = self._kernel(literal)
+            kernel = self._kernel
         elif self.variety is Variety.LIST:
             assert self.item_type is not None
-            items = literal.split()
-            value = tuple(self.item_type.parse(item) for item in items)
+            kernel = _list_kernel(self.item_type.parse)
         else:
-            value = self._parse_union(literal)
-        self.facets.check_value(value, literal)
-        return value
+            kernel = self._parse_union
+        return _build_chain(
+            _NORMALIZERS[facets.white_space],
+            facets.compiled_patterns(),
+            kernel,
+            facets.compiled_value_steps(
+                int_values=self.variety is Variety.ATOMIC
+                and self.python_type is int
+            ),
+        )
 
     def _parse_union(self, literal: str) -> Any:
         failures: list[str] = []
@@ -159,6 +183,54 @@ class SimpleType:
         except SimpleTypeError:
             return False
         return True
+
+
+_NORMALIZERS: dict[str, Callable[[str], str] | None] = {
+    WhiteSpace.PRESERVE: None,
+    WhiteSpace.REPLACE: replace_whitespace,
+    WhiteSpace.COLLAPSE: collapse_whitespace,
+}
+
+
+def _list_kernel(parse_item: Callable[[str], Any]) -> Kernel:
+    def parse_list(literal: str) -> tuple[Any, ...]:
+        return tuple([parse_item(item) for item in split_whitespace(literal)])
+
+    return parse_list
+
+
+def _build_chain(
+    normalize: Callable[[str], str] | None,
+    patterns: tuple[tuple[tuple[Callable[[str], Any], ...], str], ...],
+    kernel: Kernel,
+    steps: tuple[Callable[[Any, str], None], ...],
+) -> Callable[[str], Any]:
+    """One type's checks as one function: normalize, match, parse, check."""
+    if not patterns and not steps:
+        if normalize is None:
+            return kernel
+
+        def normalize_and_parse(raw: str) -> Any:
+            return kernel(normalize(raw))
+
+        return normalize_and_parse
+
+    def check(raw: str) -> Any:
+        literal = raw if normalize is None else normalize(raw)
+        for matchers, sources in patterns:
+            for match in matchers:
+                if match(literal) is not None:
+                    break
+            else:
+                raise SimpleTypeError(
+                    f"'{literal}' does not match pattern '{sources}'"
+                )
+        value = kernel(literal)
+        for step in steps:
+            step(value, literal)
+        return value
+
+    return check
 
 
 #: primitives whose value space is ordered (range facets applicable)

@@ -46,6 +46,7 @@ from collections.abc import Iterable
 
 from repro import obs
 from repro.errors import SimpleTypeError, ValidationError
+from repro.xml.chars import WHITESPACE
 from repro.xml.events import (
     Characters,
     EndElement,
@@ -278,7 +279,7 @@ class _Walk:
         if frame is _SKIP:
             return
         facts = frame.facts
-        if facts.text_kind is not None and data.strip():
+        if facts.text_kind is not None and data.strip(WHITESPACE):
             self.error(
                 f"<{facts.name}> has {facts.text_kind} but contains text",
                 where,

@@ -25,6 +25,7 @@ from repro.errors import SimpleTypeError, ValidationError
 from repro.dom.charnodes import Text
 from repro.dom.document import Document
 from repro.dom.element import Element
+from repro.xml.chars import WHITESPACE
 from repro.xml.qname import XML_NAMESPACE, XSI_NAMESPACE
 from repro.xsd.components import (
     ANY_TYPE,
@@ -349,7 +350,7 @@ class SchemaValidator:
         content_type = complex_type.content_type
         child_elements = element.child_elements()
         has_text = any(
-            isinstance(node, Text) and node.data.strip()
+            isinstance(node, Text) and node.data.strip(WHITESPACE)
             for node in element.iter_children()
         )
         if content_type is ContentType.EMPTY:

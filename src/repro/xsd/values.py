@@ -18,34 +18,42 @@ from repro.xml.chars import is_name, is_ncname, is_nmtoken
 
 _BOOLEAN_VALUES = {"true": True, "1": True, "false": False, "0": False}
 
-_DECIMAL_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)\Z")
-_INTEGER_RE = re.compile(r"[+-]?\d+\Z")
+# Digits are spelled ``[0-9]``: ``\d`` would take every Unicode digit,
+# and ``int``/``Decimal``/``datetime`` then read ``'٣'`` as 3, while the
+# lexical spaces of XML Schema Part 2 allow ASCII digits only.
+
+_DECIMAL_RE = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)\Z")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 _FLOAT_RE = re.compile(
-    r"([+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?|[+-]?INF|NaN)\Z"
+    r"([+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?|[+-]?INF|NaN)\Z"
 )
 _DATE_RE = re.compile(
-    r"(?P<sign>-?)(?P<year>\d{4,})-(?P<month>\d{2})-(?P<day>\d{2})"
-    r"(?P<tz>Z|[+-]\d{2}:\d{2})?\Z"
+    r"(?P<sign>-?)(?P<year>[0-9]{4,})-(?P<month>[0-9]{2})-(?P<day>[0-9]{2})"
+    r"(?P<tz>Z|[+-][0-9]{2}:[0-9]{2})?\Z"
 )
 _TIME_RE = re.compile(
-    r"(?P<hour>\d{2}):(?P<minute>\d{2}):(?P<second>\d{2})(?P<fraction>\.\d+)?"
-    r"(?P<tz>Z|[+-]\d{2}:\d{2})?\Z"
+    r"(?P<hour>[0-9]{2}):(?P<minute>[0-9]{2}):(?P<second>[0-9]{2})"
+    r"(?P<fraction>\.[0-9]+)?(?P<tz>Z|[+-][0-9]{2}:[0-9]{2})?\Z"
 )
 _DATETIME_RE = re.compile(
-    r"(?P<sign>-?)(?P<year>\d{4,})-(?P<month>\d{2})-(?P<day>\d{2})"
-    r"T(?P<hour>\d{2}):(?P<minute>\d{2}):(?P<second>\d{2})(?P<fraction>\.\d+)?"
-    r"(?P<tz>Z|[+-]\d{2}:\d{2})?\Z"
+    r"(?P<sign>-?)(?P<year>[0-9]{4,})-(?P<month>[0-9]{2})-(?P<day>[0-9]{2})"
+    r"T(?P<hour>[0-9]{2}):(?P<minute>[0-9]{2}):(?P<second>[0-9]{2})"
+    r"(?P<fraction>\.[0-9]+)?(?P<tz>Z|[+-][0-9]{2}:[0-9]{2})?\Z"
 )
-_GYEAR_RE = re.compile(r"-?\d{4,}(Z|[+-]\d{2}:\d{2})?\Z")
-_GYEARMONTH_RE = re.compile(r"-?\d{4,}-\d{2}(Z|[+-]\d{2}:\d{2})?\Z")
-_GMONTHDAY_RE = re.compile(r"--\d{2}-\d{2}(Z|[+-]\d{2}:\d{2})?\Z")
-_GDAY_RE = re.compile(r"---\d{2}(Z|[+-]\d{2}:\d{2})?\Z")
-_GMONTH_RE = re.compile(r"--\d{2}(Z|[+-]\d{2}:\d{2})?\Z")
+_GYEAR_RE = re.compile(r"-?[0-9]{4,}(Z|[+-][0-9]{2}:[0-9]{2})?\Z")
+_GYEARMONTH_RE = re.compile(
+    r"-?[0-9]{4,}-[0-9]{2}(Z|[+-][0-9]{2}:[0-9]{2})?\Z"
+)
+_GMONTHDAY_RE = re.compile(
+    r"--[0-9]{2}-[0-9]{2}(Z|[+-][0-9]{2}:[0-9]{2})?\Z"
+)
+_GDAY_RE = re.compile(r"---[0-9]{2}(Z|[+-][0-9]{2}:[0-9]{2})?\Z")
+_GMONTH_RE = re.compile(r"--[0-9]{2}(Z|[+-][0-9]{2}:[0-9]{2})?\Z")
 _DURATION_RE = re.compile(
     r"(?P<sign>-?)P"
-    r"(?:(?P<years>\d+)Y)?(?:(?P<months>\d+)M)?(?:(?P<days>\d+)D)?"
-    r"(?:T(?:(?P<hours>\d+)H)?(?:(?P<minutes>\d+)M)?"
-    r"(?:(?P<seconds>\d+(\.\d+)?)S)?)?\Z"
+    r"(?:(?P<years>[0-9]+)Y)?(?:(?P<months>[0-9]+)M)?(?:(?P<days>[0-9]+)D)?"
+    r"(?:T(?:(?P<hours>[0-9]+)H)?(?:(?P<minutes>[0-9]+)M)?"
+    r"(?:(?P<seconds>[0-9]+(\.[0-9]+)?)S)?)?\Z"
 )
 _HEX_RE = re.compile(r"([0-9a-fA-F]{2})*\Z")
 _BASE64_RE = re.compile(r"[A-Za-z0-9+/]*={0,2}\Z")

@@ -1,6 +1,6 @@
 """Cache format versioning: entries written by an older format are never
-served — the fingerprint changes, so a v5 reader simply recompiles past
-a directory full of v4 artifacts."""
+served — the fingerprint changes, so a current reader simply recompiles
+past a directory full of v4 artifacts."""
 
 import importlib
 
@@ -22,8 +22,9 @@ SCHEMA = """
 """
 
 
-def test_format_version_is_five():
-    assert CACHE_FORMAT_VERSION == 5
+def test_format_version_is_six():
+    # 6: the generated ``render_text`` takes one mapping of hole values.
+    assert CACHE_FORMAT_VERSION == 6
 
 
 def test_fingerprint_changes_with_format_version(monkeypatch):

@@ -13,6 +13,7 @@ from repro.xml.chars import (
     is_space,
     is_xml_char,
     replace_whitespace,
+    split_whitespace,
 )
 
 
@@ -108,6 +109,18 @@ class TestWhitespaceNormalization:
         text = "a\tb\nc\rd"
         assert replace_whitespace(text) == "a b c d"
         assert len(replace_whitespace(text)) == len(text)
+
+    def test_only_production_s_is_white_space(self):
+        # NBSP, U+3000, U+2028 and NEL are characters, not XML white space.
+        for other in ("\xa0", "\u3000", "\u2028", "\x85", "\x0b"):
+            text = f" a{other}b \t"
+            assert collapse_whitespace(text) == f"a{other}b"
+            assert replace_whitespace(other) == other
+            assert split_whitespace(f"a {other} b") == ["a", other, "b"]
+
+    def test_split(self):
+        assert split_whitespace("  a \t b\r\n c  ") == ["a", "b", "c"]
+        assert split_whitespace(" \n ") == []
 
 
 def _name_by_chars(text: str) -> bool:
