@@ -1,12 +1,20 @@
 """A minimal HTTP/1.1 message layer for :mod:`repro.serve`.
 
 Only what a page server needs, built on the stdlib alone: parse one
-request head (request line + headers) from the bytes an
-``asyncio.StreamReader`` hands over, format one response with a
-``Content-Length`` body, and frame one response as
-``Transfer-Encoding: chunked`` for the streaming mode.  Requests with
-bodies are read and discarded up to a small cap, everything else is
-rejected with a clear status code.
+request head (request line + headers) from the bytes the server's
+connection framed, format one response with a ``Content-Length`` body,
+and frame one response as ``Transfer-Encoding: chunked`` for the
+streaming mode.  Requests with bodies are read up to a small cap,
+everything else is rejected with a clear status code.
+
+Request framing (RFC 9112 §6): a head is everything up to the first
+blank line and at most :data:`MAX_HEAD_BYTES` long (longer gets 431).
+A body is exactly ``Content-Length`` bytes, at most
+:data:`MAX_BODY_BYTES` (more gets 413).  ``Content-Length`` must be
+``1*DIGIT``; repeated field lines combine into one list, and a list
+whose values differ is a 400.  A request with ``Transfer-Encoding``
+gets 501: this server reads no chunked request bodies, and guessing
+would misframe the requests behind it.
 
 Validators come with the framing: strong ETags (a content hash, so two
 responses carry the same tag exactly when their bytes match) and the
@@ -15,9 +23,9 @@ responses carry the same tag exactly when their bytes match) and the
 memoized per second so the hot path formats it at most once a second.
 
 The parser is strict where sloppiness would be ambiguous (malformed
-request line, header without ``:``, non-integer ``Content-Length``) and
-lenient where the RFC says to be (header names are case-insensitive,
-empty header values are fine).
+request line, header without ``:``, a ``Content-Length`` that is not
+digits) and lenient where the RFC says to be (header names are
+case-insensitive, empty header values are fine).
 """
 
 from __future__ import annotations
@@ -29,10 +37,11 @@ from urllib.parse import unquote, urlsplit
 
 from repro.errors import ReproError
 
-#: request-head size cap (also the StreamReader limit the server uses)
+#: request-head size cap: a head whose blank line does not start
+#: within this many bytes gets 431
 MAX_HEAD_BYTES = 32 * 1024
 
-#: largest request body the server will read-and-discard
+#: largest request body the server will read
 MAX_BODY_BYTES = 1 << 20
 
 #: the subset of status codes this server emits
@@ -47,6 +56,7 @@ REASONS = {
     422: "Unprocessable Content",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
 }
 
@@ -83,16 +93,24 @@ class HttpRequest:
 
     @property
     def content_length(self) -> int:
-        raw = self.headers.get("content-length")
+        """The body's length; raises :class:`HttpError` when the body
+        cannot be framed (RFC 9112 §6.3)."""
+        headers = self.headers
+        if "transfer-encoding" in headers:
+            raise HttpError(
+                501, "Transfer-Encoding request bodies are not supported"
+            )
+        raw = headers.get("content-length")
         if raw is None:
             return 0
-        try:
-            length = int(raw)
-        except ValueError:
-            raise HttpError(400, f"malformed Content-Length {raw!r}")
-        if length < 0:
-            raise HttpError(400, f"malformed Content-Length {raw!r}")
-        return length
+        # One value, or a list of identical ones ("5, 5") from repeated
+        # field lines; ``int`` alone would also take "+5", "-0", "0_4".
+        values = {value.strip() for value in raw.split(",")}
+        if len(values) == 1:
+            value = values.pop()
+            if value.isascii() and value.isdigit():
+                return int(value)
+        raise HttpError(400, f"malformed Content-Length {raw!r}")
 
     def wants_keep_alive(self) -> bool:
         """Connection persistence per HTTP/1.1 (default on) vs 1.0."""
@@ -163,7 +181,13 @@ def parse_request(head: bytes) -> HttpRequest:
         name, separator, value = line.partition(":")
         if not separator or not name or name != name.strip():
             raise HttpError(400, f"malformed header line {line!r}")
-        headers[name.lower()] = value.strip()
+        name = name.lower()
+        value = value.strip()
+        if name in headers:
+            # Repeated field lines form one list (RFC 9110 §5.3), so a
+            # second Content-Length cannot silently replace the first.
+            value = f"{headers[name]}, {value}"
+        headers[name] = value
     return HttpRequest(method, target, path, query, version, headers)
 
 

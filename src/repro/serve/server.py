@@ -1,11 +1,15 @@
 """The asyncio HTTP server serving compiled, schema-valid pages.
 
-``asyncio.start_server`` accepts connections; each connection runs a
-keep-alive loop: read one request head (bounded in time and size),
-dispatch it through the :class:`~repro.serve.routes.RouteTable`, write
-one ``Content-Length``-framed response.  Rendering is the segment
-pipeline's ``render_text`` — the same precomputed-string path the
-benchmarks measure — so the serving tier adds framing, not tree walks.
+``loop.create_server`` accepts connections, one :class:`asyncio.Protocol`
+object each.  A connection frames requests straight out of its receive
+buffer (a head bounded in time and size, then a ``Content-Length``
+body), dispatches each through the
+:class:`~repro.serve.routes.RouteTable` and writes one
+``Content-Length``-framed response, all in the callback that completed
+the request; pipelined requests are answered in order.  Rendering is
+the segment pipeline's ``render_text`` — the same precomputed-string
+path the benchmarks measure — so the serving tier adds framing, not
+tree walks.
 
 Serve v2 takes the next step, not rendering at all when it can prove it
 does not have to:
@@ -27,15 +31,21 @@ Operational behaviour:
 
 * **connection cap with backpressure** — at most ``max_connections``
   connections are *served* concurrently; beyond that, new connections
-  queue on a semaphore (their bytes wait in kernel buffers) instead of
-  being refused;
-* **per-request timeout** — a request head that does not arrive within
-  ``request_timeout`` seconds gets a 408 and the connection is closed;
-  the same budget bounds body reads;
+  are accepted, stop reading, and are admitted in arrival order as
+  slots free (their bytes wait in kernel buffers) instead of being
+  refused.  A served connection also stops reading while its transport
+  is over the high-water mark or a pooled verdict is pending, so its
+  receive buffer stays bounded;
+* **per-request timeout** — one deadline per connection.  A request
+  head that does not arrive within ``request_timeout`` seconds of
+  admission, or of the previous response, gets a 408 and the
+  connection is closed; a body gets a budget of its own.  A queued or
+  blocked connection has no deadline running;
 * **graceful drain** — SIGTERM (or :meth:`request_shutdown`) stops the
   listener, lets every in-flight request finish, then returns from
   :meth:`run`; responses sent while draining carry
-  ``Connection: close``;
+  ``Connection: close``, idle connections end at their deadline, and
+  anything still open ``request_timeout + 1`` seconds later is aborted;
 * **observability** — every request counts into :mod:`repro.obs`
   (``serve.request`` by route and status, ``serve.latency`` timings,
   ``serve.fallback`` for unvalidated/missed routes) and into a
@@ -49,6 +59,7 @@ import asyncio
 import json
 import signal
 import time
+from collections import deque
 from typing import Any
 
 from repro import obs
@@ -144,8 +155,13 @@ class ReproServer:
             "draining": False,
         }
         self._server: asyncio.base_events.Server | None = None
-        self._gate = asyncio.Semaphore(max_connections)
-        self._connections: set[asyncio.Task] = set()
+        self._loop: asyncio.AbstractEventLoop | None = None
+        #: every open connection, admitted or queued
+        self._live: set[_Connection] = set()
+        #: connections waiting for a slot, in arrival order
+        self._queue: deque[_Connection] = deque()
+        #: resolved by the last connection to close while draining
+        self._drained: asyncio.Future | None = None
         self._shutdown_requested: asyncio.Event | None = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -153,11 +169,9 @@ class ReproServer:
     async def start(self) -> None:
         """Bind and start accepting (returns once listening)."""
         self._shutdown_requested = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=MAX_HEAD_BYTES,
+        self._loop = asyncio.get_running_loop()
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -184,20 +198,23 @@ class ReproServer:
         self.stats["draining"] = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        pending = {task for task in self._connections if not task.done()}
-        if pending:
-            # Keep-alive loops notice the drain flag after their current
-            # response; an idle connection is bounded by the request
-            # timeout.  Anything still alive after that grace window is
-            # cancelled rather than holding shutdown hostage.
-            _done, stragglers = await asyncio.wait(
-                pending, timeout=self.request_timeout + 1.0
+        # A queued connection has no request in flight: it closes now.
+        while self._queue:
+            self._queue[0].close()
+        if self._live:
+            # Keep-alive connections close after their current response;
+            # an idle one at its deadline.  Anything still open after
+            # that grace window is aborted rather than holding shutdown
+            # hostage.
+            self._drained = self._loop.create_future()
+            await asyncio.wait(
+                (self._drained,), timeout=self.request_timeout + 1.0
             )
-            for task in stragglers:
-                task.cancel()
-            if stragglers:
-                await asyncio.wait(stragglers)
+            for connection in list(self._live):
+                connection.transport.abort()
+            await self._drained
+        if self._server is not None:
+            await self._server.wait_closed()
 
     async def run(self, *, install_signal_handlers: bool = True) -> None:
         """Start, serve until SIGTERM/SIGINT (or
@@ -217,114 +234,49 @@ class ReproServer:
         await self._shutdown_requested.wait()
         await self.drain()
 
-    # -- connection handling -------------------------------------------------
+    # -- connection slots ----------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
+    def _opened(self, connection: _Connection) -> None:
         self.stats["connections"] += 1
-        try:
-            # The cap: waiting here *is* the backpressure — the client's
-            # request bytes sit in kernel buffers until a slot frees up.
-            async with self._gate:
-                self.stats["active"] += 1
-                self.stats["peak_active"] = max(
-                    self.stats["peak_active"], self.stats["active"]
-                )
-                try:
-                    await self._serve_connection(reader, writer)
-                finally:
-                    self.stats["active"] -= 1
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away mid-write; nothing left to tell it
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+        self._live.add(connection)
+        if self.stats["draining"]:
+            connection.close()
+        elif self.stats["active"] < self.max_connections and not self._queue:
+            self._admit(connection)
+        else:
+            # The cap: a queued connection stops reading after its first
+            # bytes, so the rest of its request waits in kernel buffers
+            # until a slot frees up.
+            connection.queued = True
+            self._queue.append(connection)
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        while not self.stats["draining"]:
-            try:
-                head = await asyncio.wait_for(
-                    reader.readuntil(b"\r\n\r\n"), self.request_timeout
-                )
-            except asyncio.TimeoutError:
-                self.stats["timeouts"] += 1
-                obs.count("serve.timeout")
-                await self._send(writer, error_response(408, "request timed out"))
-                return
-            except asyncio.IncompleteReadError as partial:
-                if partial.partial:
-                    await self._send(
-                        writer, error_response(400, "truncated request head")
-                    )
-                return  # clean EOF between requests: client hung up
-            except asyncio.LimitOverrunError:
-                await self._send(
-                    writer, error_response(431, "request head too large")
-                )
-                return
-            body = b""
-            try:
-                request = parse_request(head[:-4])
-                length = request.content_length
-                if length > MAX_BODY_BYTES:
-                    raise HttpError(413, "request body too large")
-                if length:
-                    # Page serving is GET-shaped, but ``POST /-/validate``
-                    # consumes its body; reading it always keeps the
-                    # stream framed either way.
-                    body = await asyncio.wait_for(
-                        reader.readexactly(length), self.request_timeout
-                    )
-            except HttpError as error:
-                self._record(None, error.status)
-                await self._send(
-                    writer, error_response(error.status, error.message)
-                )
-                return
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError):
-                self.stats["timeouts"] += 1
-                await self._send(writer, error_response(408, "body timed out"))
-                return
-            keep_alive = request.wants_keep_alive()
-            if (
-                self.validate_pool is not None
-                and request.path == "/-/validate"
-                and request.method == "POST"
-            ):
-                # Fan the document out to a warm pool worker; the
-                # event loop stays free for other connections while the
-                # worker runs the table-driven streaming validator.
-                response = await self._validate_pooled(
-                    request, body, keep_alive
-                )
-            else:
-                response = self._respond(request, keep_alive, body)
-            if isinstance(response, bytes):
-                await self._send(writer, response)
-            else:
-                # A streamed response: the head, then each coalesced
-                # chunk, drained as it goes — static markup reaches the
-                # client while later chunks are still being written.
-                for part in response:
-                    await self._send(writer, part)
-            if not keep_alive:
-                return
+    def _admit(self, connection: _Connection) -> None:
+        self.stats["active"] += 1
+        self.stats["peak_active"] = max(
+            self.stats["peak_active"], self.stats["active"]
+        )
+        connection.admitted = True
+        connection.start()
 
-    async def _send(self, writer: asyncio.StreamWriter, payload: bytes) -> None:
-        writer.write(payload)
-        self.stats["bytes_sent"] += len(payload)
-        await writer.drain()
+    def _release(self, connection: _Connection) -> None:
+        """*connection* is done with its slot (or its place in line)."""
+        if connection.queued:
+            connection.queued = False
+            self._queue.remove(connection)
+        elif connection.admitted:
+            connection.admitted = False
+            self.stats["active"] -= 1
+            if self._queue:
+                waiting = self._queue.popleft()
+                waiting.queued = False
+                self._admit(waiting)
+
+    def _closed(self, connection: _Connection) -> None:
+        self._release(connection)
+        self._live.discard(connection)
+        if not self._live and self._drained is not None:
+            if not self._drained.done():
+                self._drained.set_result(None)
 
     # -- request dispatch ----------------------------------------------------
 
@@ -656,6 +608,262 @@ class ReproServer:
             "obs": obs.snapshot(),
         }
         return (json.dumps(snapshot, indent=2, sort_keys=True) + "\n").encode()
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: frames requests straight out of its
+    receive buffer and answers each in the callback that completed it.
+
+    While queued behind ``max_connections``, or blocked (its transport
+    over the high-water mark, or a pooled verdict pending), it reads
+    nothing and runs no deadline.  One timer serves every deadline:
+    re-arming stores a new time and the timer re-schedules itself when
+    it fires early, so a request costs no task, no future and no extra
+    event-loop turn.
+    """
+
+    def __init__(self, server: ReproServer):
+        self.server = server
+        self.loop = server._loop
+        self.transport: asyncio.Transport | None = None
+        self.buffer = bytearray()
+        #: buffer prefix already searched for the end of a head
+        self.scanned = 0
+        #: a parsed head whose body is still arriving, and its length
+        self.request: HttpRequest | None = None
+        self.length = 0
+        self.queued = False
+        self.admitted = False
+        self.closing = False
+        self.eof = False
+        self.writing_paused = False
+        #: the pooled ``POST /-/validate`` task this connection waits on
+        self.verdict: asyncio.Task | None = None
+        self.deadline: float | None = None
+        self.timer: asyncio.TimerHandle | None = None
+
+    # -- transport callbacks -------------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.server._opened(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        if self.admitted:
+            self._frame()
+        elif self.queued:
+            # Paused here rather than in connection_made: Python 3.10
+            # starts reading after connection_made even when it paused.
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        if self.admitted:
+            self._frame()
+        return True  # keep the transport open for the answer
+
+    def pause_writing(self) -> None:
+        self.writing_paused = True
+        self._block()
+
+    def resume_writing(self) -> None:
+        self.writing_paused = False
+        self._unblock()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.closing = True
+        self.deadline = None
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+        if self.verdict is not None:
+            self.verdict.cancel()
+        self.server._closed(self)
+
+    # -- life cycle ----------------------------------------------------------
+
+    def start(self) -> None:
+        """Admitted: the head budget starts now."""
+        self._arm()
+        if self.buffer or self.eof:
+            # Bytes read while queued are framed on the next loop turn,
+            # so admitting a chain of queued connections never recurses.
+            self.loop.call_soon(self._frame)
+        if not self.eof:
+            self.transport.resume_reading()
+
+    def close(self) -> None:
+        """End the connection from this side: give up the slot, send
+        what is buffered, close."""
+        if not self.closing:
+            self.closing = True
+            self.deadline = None
+            self.server._release(self)
+            self.transport.close()
+
+    def _block(self) -> None:
+        """A response cannot go out yet: stop reading and the clock."""
+        self.deadline = None
+        if not self.eof:
+            self.transport.pause_reading()
+
+    def _unblock(self) -> None:
+        if self.closing or self.writing_paused or self.verdict is not None:
+            return
+        self._arm()
+        if not self.eof:
+            self.transport.resume_reading()
+        self._frame()
+
+    # -- the deadline --------------------------------------------------------
+
+    def _arm(self) -> None:
+        """Start a fresh ``request_timeout`` budget."""
+        self.deadline = self.loop.time() + self.server.request_timeout
+        if self.timer is None:
+            self.timer = self.loop.call_at(self.deadline, self._expire)
+
+    def _expire(self) -> None:
+        self.timer = None
+        if self.deadline is None or self.closing:
+            return
+        if self.loop.time() < self.deadline:  # re-armed since scheduled
+            self.timer = self.loop.call_at(self.deadline, self._expire)
+            return
+        self._time_out()
+
+    def _time_out(self) -> None:
+        self.server.stats["timeouts"] += 1
+        obs.count("serve.timeout")
+        if self.request is None:
+            self._fail(408, "request timed out")
+        else:
+            self._fail(408, "body timed out")
+
+    # -- framing -------------------------------------------------------------
+
+    def _frame(self) -> None:
+        """Answer every complete request in the buffer, in order, until
+        the connection blocks, closes or needs more bytes."""
+        buffer = self.buffer
+        while not (self.closing or self.writing_paused or self.verdict):
+            if self.request is None:
+                end = buffer.find(b"\r\n\r\n", self.scanned)
+                if end < 0:
+                    if len(buffer) - 3 > MAX_HEAD_BYTES:
+                        self._fail(431, "request head too large")
+                    elif self.eof:
+                        if buffer:
+                            self._fail(400, "truncated request head")
+                        else:
+                            self.close()  # clean EOF between requests
+                    else:
+                        self.scanned = max(0, len(buffer) - 3)
+                    return
+                if end > MAX_HEAD_BYTES:
+                    self._fail(431, "request head too large")
+                    return
+                head = bytes(buffer[:end])
+                del buffer[: end + 4]
+                self.scanned = 0
+                try:
+                    request = parse_request(head)
+                    length = request.content_length
+                    if length > MAX_BODY_BYTES:
+                        raise HttpError(413, "request body too large")
+                except HttpError as error:
+                    self._fail(error.status, error.message)
+                    return
+                if length:
+                    # Page serving is GET-shaped, but ``POST /-/validate``
+                    # consumes its body; reading it always keeps the
+                    # stream framed either way.
+                    self.request, self.length = request, length
+                    if len(buffer) < length:
+                        self._arm()
+                    continue
+                body = b""
+            else:
+                if len(buffer) < self.length:
+                    if self.eof:
+                        self._time_out()
+                    return
+                request, self.request = self.request, None
+                body = bytes(buffer[: self.length])
+                del buffer[: self.length]
+            self._answer(request, body)
+
+    def _answer(self, request: HttpRequest, body: bytes) -> None:
+        server = self.server
+        keep_alive = request.wants_keep_alive()
+        if (
+            server.validate_pool is not None
+            and request.path == "/-/validate"
+            and request.method == "POST"
+        ):
+            # Fan the document out to a warm pool worker; the event loop
+            # stays free for other connections while the worker runs the
+            # table-driven streaming validator.  Later pipelined requests
+            # wait for this verdict.
+            self.verdict = self.loop.create_task(
+                server._validate_pooled(request, body, keep_alive)
+            )
+            self.verdict.add_done_callback(
+                lambda task: self._deliver(task, keep_alive)
+            )
+            self._block()
+            return
+        self._write(server._respond(request, keep_alive, body))
+        self._next(keep_alive)
+
+    def _deliver(self, task: asyncio.Task, keep_alive: bool) -> None:
+        """The pooled verdict is in: answer it, then frame what waited."""
+        self.verdict = None
+        if task.cancelled():
+            return  # the connection went away first
+        error = task.exception()
+        if error is not None:
+            self.loop.call_exception_handler(
+                {
+                    "message": "pooled validation failed",
+                    "exception": error,
+                    "protocol": self,
+                }
+            )
+            self.transport.abort()
+            return
+        if self.closing:
+            return  # the client left while its verdict was computed
+        self._write(task.result())
+        if not keep_alive or self.server.stats["draining"]:
+            self.close()
+        else:
+            self._unblock()
+
+    def _next(self, keep_alive: bool) -> None:
+        """After a response: close, or start the next head budget."""
+        if not keep_alive or self.server.stats["draining"]:
+            self.close()
+        elif not self.writing_paused:
+            self._arm()
+
+    def _fail(self, status: int, message: str) -> None:
+        """Answer with an error and close: the framing is lost."""
+        self.server._record(None, status)
+        self._write(error_response(status, message))
+        self.close()
+
+    def _write(self, response: bytes | list[bytes]) -> None:
+        stats = self.server.stats
+        if isinstance(response, bytes):
+            self.transport.write(response)
+            stats["bytes_sent"] += len(response)
+        else:
+            # A streamed response: the head, then each coalesced chunk.
+            for part in response:
+                self.transport.write(part)
+                stats["bytes_sent"] += len(part)
 
 
 def _error_entry(error: Exception) -> dict[str, Any]:

@@ -75,12 +75,38 @@ class TestContentLength:
         request = _parse("POST / HTTP/1.1\r\nContent-Length: 42")
         assert request.content_length == 42
 
-    @pytest.mark.parametrize("value", ["nan", "-1", "1.5", ""])
+    @pytest.mark.parametrize(
+        "value", ["nan", "-1", "1.5", "", "+5", "-0", "0_4", "5, 50"]
+    )
     def test_malformed_raises_400(self, value):
         request = _parse(f"POST / HTTP/1.1\r\nContent-Length: {value}")
         with pytest.raises(HttpError) as info:
             request.content_length
         assert info.value.status == 400
+
+    def test_differing_repeated_values_raise_400(self):
+        request = _parse(
+            "POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 50"
+        )
+        assert request.headers["content-length"] == "5, 50"
+        with pytest.raises(HttpError) as info:
+            request.content_length
+        assert info.value.status == 400
+
+    def test_identical_repeated_values_are_one_length(self):
+        request = _parse(
+            "POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5"
+        )
+        assert request.content_length == 5
+
+    @pytest.mark.parametrize("length", ["", "\r\nContent-Length: 4"])
+    def test_transfer_encoding_raises_501(self, length):
+        request = _parse(
+            f"POST / HTTP/1.1\r\nTransfer-Encoding: chunked{length}"
+        )
+        with pytest.raises(HttpError) as info:
+            request.content_length
+        assert info.value.status == 501
 
 
 class TestKeepAlive:

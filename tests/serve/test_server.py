@@ -271,3 +271,90 @@ class TestOperations:
         status, draining = asyncio.run(scenario())
         assert status == 200
         assert draining is True
+
+
+class TestFraming:
+    """Bodies the server cannot frame are refused, never guessed."""
+
+    @staticmethod
+    async def exchange(routes, payload: bytes) -> bytes:
+        async with running(routes) as server:
+            return await raw_request(server.port, payload)
+
+    def test_malformed_content_length_gets_400(self, routes):
+        data = asyncio.run(
+            self.exchange(
+                routes,
+                b"POST /item HTTP/1.1\r\nContent-Length: 0_4\r\n\r\n"
+                b"abcdGET /item?q=1 HTTP/1.1\r\n\r\n",
+            )
+        )
+        assert data.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"malformed Content-Length '0_4'" in data
+        assert data.count(b"HTTP/1.1 ") == 1  # nothing read past it
+
+    def test_differing_content_lengths_get_400(self, routes):
+        data = asyncio.run(
+            self.exchange(
+                routes,
+                b"POST /item HTTP/1.1\r\nContent-Length: 5\r\n"
+                b"Content-Length: 50\r\n\r\nabcde",
+            )
+        )
+        assert data.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"malformed Content-Length '5, 50'" in data
+
+    def test_transfer_encoding_gets_501_and_close(self, routes):
+        data = asyncio.run(
+            self.exchange(
+                routes,
+                b"POST /item HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"4\r\nabcd\r\n0\r\n\r\n",
+            )
+        )
+        assert data.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
+        assert b"Connection: close\r\n" in data
+        assert data.count(b"HTTP/1.1 ") == 1  # the chunks are not a request
+
+
+class TestEveryStatusCounted:
+    """Statuses written before a request is dispatched (timeouts, an
+    oversized or truncated head) count like any other response."""
+
+    def test_framing_failures_reach_stats_and_obs(self, routes):
+        async def scenario():
+            async with running(routes, request_timeout=0.3) as server:
+                port = server.port
+                await raw_request(port, b"GET /item?q=1 HTTP/1.1\r\n")  # 408
+                await raw_request(  # body 408
+                    port,
+                    b"POST /item HTTP/1.1\r\nContent-Length: 9\r\n\r\nab",
+                )
+                await raw_request(  # 431
+                    port, b"GET / HTTP/1.1\r\nX: " + b"a" * 40000 + b"\r\n\r\n"
+                )
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(b"GET /item HTTP/1.1\r\nHo")
+                writer.write_eof()
+                await reader.read()  # 400 truncated head
+                writer.close()
+                with contextlib.suppress(ConnectionError, OSError):
+                    await writer.wait_closed()
+                _status, _headers, body = await get(port, "/-/stats")
+                return json.loads(body)
+
+        obs.enable(reset=True)
+        try:
+            snapshot = asyncio.run(scenario())
+        finally:
+            obs.disable()
+            obs.reset()
+        stats = snapshot["server"]
+        assert stats["responses"] == {"408": 2, "431": 1, "400": 1, "200": 1}
+        assert stats["requests"] == 5
+        assert stats["timeouts"] == 2
+        counters = snapshot["obs"]["counters"]
+        assert counters["serve.timeout"] == 2
+        assert counters["serve.request{route=-,status=408}"] == 2
+        assert counters["serve.request{route=-,status=431}"] == 1
+        assert counters["serve.request{route=-,status=400}"] == 1
