@@ -815,7 +815,10 @@ class _Connection(asyncio.Protocol):
             self._block()
             return
         self._write(server._respond(request, keep_alive, body))
-        self._next(keep_alive)
+        if not keep_alive or server.stats["draining"]:
+            self.close()
+        elif not self.writing_paused:
+            self._arm()  # the next head's budget
 
     def _deliver(self, task: asyncio.Task, keep_alive: bool) -> None:
         """The pooled verdict is in: answer it, then frame what waited."""
@@ -840,13 +843,6 @@ class _Connection(asyncio.Protocol):
             self.close()
         else:
             self._unblock()
-
-    def _next(self, keep_alive: bool) -> None:
-        """After a response: close, or start the next head budget."""
-        if not keep_alive or self.server.stats["draining"]:
-            self.close()
-        elif not self.writing_paused:
-            self._arm()
 
     def _fail(self, status: int, message: str) -> None:
         """Answer with an error and close: the framing is lost."""
