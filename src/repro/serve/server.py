@@ -6,7 +6,8 @@ buffer (a head bounded in time and size, then a ``Content-Length``
 body), dispatches each through the
 :class:`~repro.serve.routes.RouteTable` and writes one
 ``Content-Length``-framed response, all in the callback that completed
-the request; pipelined requests are answered in order.  Rendering is
+the request; pipelined requests are answered in order, one per
+event-loop turn.  Rendering is
 the segment pipeline's ``render_text`` — the same precomputed-string
 path the benchmarks measure — so the serving tier adds framing, not
 tree walks.
@@ -712,9 +713,7 @@ class _Connection(asyncio.Protocol):
         if self.closing or self.writing_paused or self.verdict is not None:
             return
         self._arm()
-        if not self.eof:
-            self.transport.resume_reading()
-        self._frame()
+        self._frame()  # resumes reading once it needs more bytes
 
     # -- the deadline --------------------------------------------------------
 
@@ -744,8 +743,13 @@ class _Connection(asyncio.Protocol):
     # -- framing -------------------------------------------------------------
 
     def _frame(self) -> None:
-        """Answer every complete request in the buffer, in order, until
-        the connection blocks, closes or needs more bytes."""
+        """Answer the next complete request in the buffer.
+
+        A request buffered behind it waits one event-loop turn, with
+        reading paused, so a pipelining client takes turns with the
+        other connections instead of holding the loop for a whole
+        receive buffer of requests.
+        """
         buffer = self.buffer
         while not (self.closing or self.writing_paused or self.verdict):
             if self.request is None:
@@ -760,6 +764,7 @@ class _Connection(asyncio.Protocol):
                             self.close()  # clean EOF between requests
                     else:
                         self.scanned = max(0, len(buffer) - 3)
+                        self.transport.resume_reading()
                     return
                 if end > MAX_HEAD_BYTES:
                     self._fail(431, "request head too large")
@@ -788,11 +793,18 @@ class _Connection(asyncio.Protocol):
                 if len(buffer) < self.length:
                     if self.eof:
                         self._time_out()
+                    else:
+                        self.transport.resume_reading()
                     return
                 request, self.request = self.request, None
                 body = bytes(buffer[: self.length])
                 del buffer[: self.length]
             self._answer(request, body)
+            if buffer:
+                if not self.eof:
+                    self.transport.pause_reading()
+                self.loop.call_soon(self._frame)
+                return
 
     def _answer(self, request: HttpRequest, body: bytes) -> None:
         server = self.server

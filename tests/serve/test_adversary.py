@@ -148,6 +148,32 @@ class TestPipelining:
         assert b'"valid": true' in together[1][1]
 
 
+    def test_pipelined_burst_takes_turns_with_other_connections(
+        self, routes
+    ):
+        burst = 1000
+
+        async def scenario():
+            async with guarded(routes, max_connections=2) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(item(1) * burst)
+                await writer.drain()
+                first = await read_response(reader)
+                # The burst has started; a second client asks now.
+                _status, _headers, body = await get(server.port, "/-/stats")
+                answered_before = json.loads(body)["server"]["requests"]
+                rest = [await read_response(reader) for _ in range(burst - 1)]
+                await close(writer)
+                return first, rest, answered_before
+
+        first, rest, answered_before = asyncio.run(scenario())
+        assert [first, *rest] == [first] * burst
+        # The second client did not wait for the whole burst.
+        assert answered_before < burst // 2
+
+
 class TestHeads:
     HEAD = b"GET /item?q=1 HTTP/1.1\r\n\r\n"
 
