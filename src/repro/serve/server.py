@@ -619,8 +619,8 @@ class _Connection(asyncio.Protocol):
     over the high-water mark, or a pooled verdict pending), it reads
     nothing and runs no deadline.  One timer serves every deadline:
     re-arming stores a new time and the timer re-schedules itself when
-    it fires early, so a request costs no task, no future and no extra
-    event-loop turn.
+    it fires early, so a request costs no task and no future, and only
+    a request pipelined behind another waits an event-loop turn.
     """
 
     def __init__(self, server: ReproServer):
@@ -691,7 +691,7 @@ class _Connection(asyncio.Protocol):
             # Bytes read while queued are framed on the next loop turn,
             # so admitting a chain of queued connections never recurses.
             self.loop.call_soon(self._frame)
-        if not self.eof:
+        else:
             self.transport.resume_reading()
 
     def close(self) -> None:
