@@ -330,9 +330,10 @@ class TestEveryStatusCounted:
                     port,
                     b"POST /item HTTP/1.1\r\nContent-Length: 9\r\n\r\nab",
                 )
-                await raw_request(  # 431
-                    port, b"GET / HTTP/1.1\r\nX: " + b"a" * 40000 + b"\r\n\r\n"
-                )
+                with contextlib.suppress(ConnectionError):  # 431, maybe reset
+                    await raw_request(
+                        port, b"GET / HTTP/1.1\r\nX: " + b"a" * 40000 + b"\r\n\r\n"
+                    )
                 reader, writer = await asyncio.open_connection("127.0.0.1", port)
                 writer.write(b"GET /item HTTP/1.1\r\nHo")
                 writer.write_eof()
