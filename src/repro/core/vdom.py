@@ -48,6 +48,7 @@ from repro.xsd.components import (
     ContentType,
     ElementDeclaration,
     Schema,
+    derives_from,
 )
 from repro.xsd.schema_parser import parse_schema
 from repro.xsd.simple import SimpleType
@@ -880,6 +881,9 @@ class Binding:
             if not name.startswith("xmlns")
         }
         type_definition = declaration.resolved_type()
+        xsi_type = attributes.get("xsi:type")
+        if xsi_type is not None:
+            refuse_xsi_type(self.schema, type_definition, element.tag_name, xsi_type)
         children: list[Any] = []
         if isinstance(type_definition, ComplexType) and (
             type_definition.content_type
@@ -890,6 +894,10 @@ class Binding:
                 if isinstance(node, Element):
                     matched = matcher.step(node.tag_name)
                     if matched is None:
+                        if type_definition is ANY_TYPE:
+                            raise UnsupportedFeatureError(
+                                any_type_refusal(element.tag_name)
+                            )
                         raise VdomTypeError(
                             f"<{node.tag_name}> is not allowed inside "
                             f"<{element.tag_name}>"
@@ -909,6 +917,12 @@ class Binding:
             text = element.text_content
             if text:
                 children.append(text)
+        if type_definition is ANY_TYPE:
+            for name in attributes:
+                if not name.startswith("xsi:"):
+                    raise UnsupportedFeatureError(
+                        any_type_refusal(element.tag_name)
+                    )
         return cls(*children, **attributes)
 
     def idl(self) -> str:
@@ -933,6 +947,34 @@ class Binding:
         return (
             f"Binding({len(self._global_elements)} global elements, "
             f"{len(self.classes)} classes)"
+        )
+
+
+def any_type_refusal(tag: str) -> str:
+    """Why typed ingest refuses an ``xs:anyType`` element with content
+    it has no field for (both validators accept any content there)."""
+    return (
+        "typed ingest does not hold the child elements or attributes "
+        f"of <{tag}>, an xs:anyType element"
+    )
+
+
+def refuse_xsi_type(schema: Schema, declared, tag: str, value: str) -> None:
+    """Raise :class:`UnsupportedFeatureError` when ``xsi:type`` *value*
+    on ``<tag>`` names a type that may stand for *declared*.
+
+    Both validators accept such an element under the named type, and
+    the typed layer does not unmarshal ``xsi:type``.  An unknown or
+    underived type is left to the typed checks, which reject the
+    attribute, as the validators reject the document.  Typed ingest
+    covers namespace-free schemas only, so the value's prefix is
+    dropped, as the validators do for such schemas.
+    """
+    candidate = schema.types.get(value.rpartition(":")[2])
+    if candidate is not None and derives_from(candidate, declared):
+        raise UnsupportedFeatureError(
+            f"typed ingest does not unmarshal xsi:type: <{tag}> names "
+            f"type '{value}'"
         )
 
 

@@ -15,8 +15,9 @@ Two entry points:
 * :func:`validate_files` — a whole corpus through the streaming
   validator (:class:`repro.xsd.stream.StreamingValidator`), inline or
   on a persistent :class:`ValidationPool` of workers warm-started from
-  the persistent compilation cache, consistent-hash sharded into
-  document batches, aggregated into a JSON-ready report.  The pool
+  the persistent compilation cache, placed into document batches (the
+  files that changed dealt evenly by size), aggregated into a JSON-ready
+  report.  The pool
   itself is reusable across runs (and backs the serve tier's
   ``POST /-/validate`` fan-out).
 """

@@ -12,10 +12,12 @@ run, one pickled round-trip per file — which measured 0.95x at
 ``--jobs 4``) with :class:`repro.ingest.pool.ValidationPool`: workers
 spawn once, bind once (warm-started from the persistent compilation
 cache, flat DFA tables included), and pull *document batches* off
-per-worker queues.  Documents are consistent-hash sharded to workers
-(:class:`~repro.ingest.pool.HashRing`) so per-worker verdict caches
-stay hot across batches and across repeated runs; a dead worker's
-in-flight batches are requeued to a sibling and counted.
+per-worker queues.  A document unchanged since the pool's previous
+call goes back to the worker that judged it, so per-worker verdict
+caches stay hot across repeated runs, and the documents that changed
+(or are new) are dealt evenly by size, so no worker waits on a busier
+sibling; a dead worker's in-flight batches are requeued to a sibling
+(by :class:`~repro.ingest.pool.HashRing`) and counted.
 
 A pool can also be passed in (``pool=``) and reused across calls — the
 serve tier keeps one for its whole lifetime — in which case ``jobs``
@@ -79,6 +81,23 @@ def effective_jobs(jobs: int, cpu_count: int | None = None) -> int:
 _WORKER: dict[str, Any] = {}
 
 
+class _StoredVerdicts:
+    """The persistent verdict store, as :func:`_validate_one` asks it.
+
+    Pool workers put :class:`repro.ingest.pool._HotVerdicts` in front of
+    it, which is why a lookup names the path as well as the key.
+    """
+
+    def __init__(self, cache: ReproCache):
+        self._cache = cache
+
+    def get(self, path: str, key: str) -> dict | None:
+        return self._cache.get_json("verdict", key)
+
+    def put(self, path: str, key: str, verdict: dict) -> None:
+        self._cache.put_json("verdict", key, verdict)
+
+
 def _init_worker(
     schema_text: str,
     cache_dir: str | None,
@@ -103,7 +122,9 @@ def _init_worker(
         schema_text, location=schema_location, lazy_roots=lazy_roots
     )
     _WORKER["schema_key"] = binding.cache_fingerprint
-    _WORKER["cache"] = cache if (use_verdict_cache and cache_dir) else None
+    _WORKER["cache"] = (
+        _StoredVerdicts(cache) if (use_verdict_cache and cache_dir) else None
+    )
     _WORKER["obs_mark"] = mark
     _WORKER["streaming"] = StreamingValidator(binding.schema)
 
@@ -137,7 +158,7 @@ def _validate_one(path: str) -> dict[str, Any]:
         key = fingerprint(
             "verdict", text, schema=_WORKER["schema_key"], path=path
         )
-        verdict = cache.get_json("verdict", key)
+        verdict = cache.get(path, key)
         if verdict is not None:
             record.update(verdict)
             record["cached"] = True
@@ -152,9 +173,7 @@ def _validate_one(path: str) -> dict[str, Any]:
     else:
         record["valid"] = True
     if key is not None:
-        cache.put_json(
-            "verdict", key, {name: record[name] for name in _VERDICT_KEYS}
-        )
+        cache.put(path, key, {name: record[name] for name in _VERDICT_KEYS})
     return _finish(record, started)
 
 
@@ -208,22 +227,26 @@ def _pooled_files(
     pool,
     names: list[str],
     batch_size: int,
-) -> list[dict[str, Any]]:
-    """Fan *names* out over the persistent pool, preserving input order.
+) -> tuple[list[dict[str, Any]], int]:
+    """Fan *names* out over the persistent pool, preserving input order;
+    returns the records and how many paths were dealt.
 
-    Paths group by their consistent-hash shard first (so a batch never
-    straddles workers and verdict caches stay hot), then each shard's
-    run of documents is chunked into *batch_size* pieces.
+    The pool places each path (:meth:`ValidationPool.place`): a path
+    unchanged since the pool's previous call goes back to the worker
+    that judged it, where its verdict is hot, and the rest are dealt
+    evenly by size.  Each worker's run of documents is then chunked into
+    *batch_size* pieces, so a batch never straddles workers.
     """
+    owners, dealt = pool.place(names)
     shards: dict[int, list[int]] = {}
-    for index, name in enumerate(names):
-        shards.setdefault(pool.shard_of(name), []).append(index)
+    for index, owner in enumerate(owners):
+        shards.setdefault(owner, []).append(index)
     submissions: list[tuple[list[int], Any]] = []
-    for indices in shards.values():
+    for worker, indices in shards.items():
         for start in range(0, len(indices), batch_size):
             chunk = indices[start : start + batch_size]
             future = pool.submit_batch(
-                [names[i] for i in chunk], key=names[chunk[0]]
+                [names[i] for i in chunk], key=names[chunk[0]], worker=worker
             )
             submissions.append((chunk, future))
     files: list[dict[str, Any] | None] = [None] * len(names)
@@ -234,7 +257,7 @@ def _pooled_files(
             # for each path once per report.
             record["path"] = names[index]
             files[index] = record
-    return files  # type: ignore[return-value]
+    return files, dealt  # type: ignore[return-value]
 
 
 def _sniff_roots(names: list[str]) -> tuple[str, ...] | None:
@@ -291,9 +314,13 @@ def validate_files(
     ``jobs=1`` runs inline (no pool); higher values fan out over a
     persistent :class:`~repro.ingest.pool.ValidationPool` whose workers
     spawn once, warm-start their binding from the persistent compilation
-    cache at *cache_dir*, and consume consistent-hash-sharded document
-    batches of *batch_size* (default: :func:`auto_batch_size`, i.e.
-    files/jobs/4).  ``jobs=0`` means "auto" — one worker per CPU — and
+    cache at *cache_dir*, and consume document batches of *batch_size*
+    (default: :func:`auto_batch_size`, i.e. files/jobs/4).  A path whose
+    ``stat`` is unchanged since the pool's previous call goes back to
+    the worker that judged it; every other path is dealt, largest
+    first, to the worker with the fewest dealt bytes (counted under
+    ``ingest.bulk.dealt`` in the ``"obs"`` section).  ``jobs=0`` means
+    "auto" — one worker per CPU — and
     any request beyond the CPU count is clamped via
     :func:`effective_jobs` (the report's ``"jobs"`` key is the count
     actually used; ``"jobs_requested"`` preserves the ask, and a clamp
@@ -351,6 +378,7 @@ def validate_files(
     effective_batch: int | None = None
     pool_info: dict[str, Any] | None = None
     pool_obs: dict[str, Any] | None = None
+    dealt = 0
     with obs.span("ingest.bulk"):
         if not use_pool:
             _init_worker(
@@ -380,7 +408,7 @@ def validate_files(
                 effective_batch = batch_size or auto_batch_size(
                     len(names), pool.workers
                 )
-                files = _pooled_files(pool, names, effective_batch)
+                files, dealt = _pooled_files(pool, names, effective_batch)
             finally:
                 if collect_obs:
                     pool_obs = pool.take_obs()
@@ -398,6 +426,9 @@ def validate_files(
                 requested=requested,
                 effective=jobs,
             )
+        if dealt:
+            # Also a parent-side decision: the paths placed by size.
+            registry.count("ingest.bulk.dealt", n=dealt)
         if pool_obs is not None:
             registry.merge(pool_obs)
         for record in files:

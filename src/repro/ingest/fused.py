@@ -36,11 +36,11 @@ valid and invalid alike.
 
 from __future__ import annotations
 
-from repro.errors import SimpleTypeError, VdomTypeError
+from repro.errors import SimpleTypeError, UnsupportedFeatureError, VdomTypeError
 from repro.dom.attr import NamedNodeMap
 from repro.dom.builder import parse_document
 from repro.dom.charnodes import Text
-from repro.core.vdom import Binding, TypedElement
+from repro.core.vdom import Binding, TypedElement, any_type_refusal, refuse_xsi_type
 from repro.xml.chars import WHITESPACE
 from repro.xml.events import Characters, EndElement, StartElement
 from repro.xml.parser import PullParser
@@ -48,11 +48,6 @@ from repro.xsd.components import ANY_TYPE, ComplexType, ContentType
 from repro.xsd.simple import SimpleType
 
 _STRUCTURED = (ContentType.ELEMENT_ONLY, ContentType.MIXED)
-
-#: per-declaration cap on the accepted-leaf-value memo (table route):
-#: high-cardinality corpora stop inserting once full instead of growing
-#: without bound, and hits keep working for the values already seen
-_VALUE_MEMO_LIMIT = 4096
 
 
 class _Frame:
@@ -67,7 +62,6 @@ class _Frame:
         "content_type",
         "has_required",
         "cinfo",
-        "memo",
         "children",
         "text_parts",
         "attributes",
@@ -84,7 +78,6 @@ class _Frame:
             content_type,
             has_required,
             cinfo,
-            memo,
         ) = info
         self.tag = tag
         self.cls = cls
@@ -99,9 +92,6 @@ class _Frame:
         self.content_type = content_type  # None for simple-typed elements
         self.has_required = has_required  # any required attribute use?
         self.cinfo = cinfo  # class-derived constants for _construct
-        # Accepted-leaf-value memo; the reference route checks every
-        # value afresh.
-        self.memo = memo if use_tables else None
         self.children = []  # str | TypedElement, in document order
         self.text_parts = []  # all character data in the subtree (leaf only)
         self.attributes = attributes  # as read, ``xmlns`` pairs included
@@ -111,12 +101,18 @@ class _Frame:
 class _TypedWalk:
     """The typed handlers: frames, content-model steps, construction.
 
-    ``start(name, attributes, where)``, ``end()`` and
+    ``start(name, attributes, where)``, ``end(where)`` and
     ``characters(data, where)`` take ``PullParser`` events
     (:func:`fused_parse`) and the turbo scanner's calls
     (:func:`~repro.ingest.table_driven.table_parse`) alike; positions
     are not needed, since typed-tree errors carry none.  After the last
     ``end`` the typed tree is :attr:`root`.
+
+    What the typed tree cannot hold is refused with
+    :class:`~repro.errors.UnsupportedFeatureError`, where both
+    validators accept: an ``xsi:type`` naming a type that may stand for
+    the declared one, and child elements or attributes of an
+    ``xs:anyType`` element.
     """
 
     __slots__ = (
@@ -153,6 +149,8 @@ class _TypedWalk:
             # content model, so it admits no child element at all.
             declaration = frame.matcher.step(name) if frame.structured else None
             if declaration is None:
+                if frame.type_definition is ANY_TYPE:
+                    raise UnsupportedFeatureError(any_type_refusal(frame.tag))
                 raise VdomTypeError(f"<{name}> is not allowed inside <{frame.tag}>")
         else:
             declaration = self._schema.elements.get(name)
@@ -164,11 +162,15 @@ class _TypedWalk:
         if info is None:
             info = _dispatch_info(self._schema, self._classes, declaration)
             self._dispatch[id(declaration)] = info
+        if attributes:
+            for attribute, value in attributes:
+                if attribute == "xsi:type":  # info[1]: the declared type
+                    refuse_xsi_type(self._schema, info[1], name, value)
         stack.append(_Frame(name, info, attributes, self._use_tables))
 
-    def end(self) -> None:
+    def end(self, where) -> None:
         stack = self._stack
-        element = _construct(self._binding, stack.pop())
+        element = _construct(self._binding, stack.pop(), self._use_tables)
         if stack:
             parent = stack[-1]
             parent.children.append(element)
@@ -214,11 +216,12 @@ def fused_parse(
 
     With ``use_tables`` (the default) content models are stepped through
     flat integer transition tables — one dict probe and two array
-    indexings per child element — and leaf values a declaration has
-    already accepted skip re-validation.  ``use_tables=False`` steps the
-    object DFAs and checks every value instead; it is the golden
-    reference the table route is held to (and the baseline the
-    ``ingest:table_driven`` benchmark floor is measured against).
+    indexings per child element — and a leaf value its simple type has
+    already accepted (:meth:`SimpleType.check`) skips re-validation.
+    ``use_tables=False`` steps the object DFAs and checks every value
+    instead; it is the golden reference the table route is held to (and
+    the baseline the ``ingest:table_driven`` benchmark floor is measured
+    against).
     """
     binding._require_no_namespaces("fused ingest")
     walk = _TypedWalk(binding, use_tables)
@@ -234,13 +237,13 @@ def fused_parse(
             elif kind is StartElement:
                 start(event.name, event.attributes, event.location)
             elif kind is EndElement:
-                end()
+                end(event.location)
             # XML and DOCTYPE declarations, comments, and processing
             # instructions carry no typed content (from_dom ignores them).
-    except VdomTypeError:
+    except (VdomTypeError, UnsupportedFeatureError):
         # The legacy route parses the *whole* document before binding, so
-        # a syntax error anywhere outranks any validity error.  Drain the
-        # remaining events to surface one before re-raising.
+        # a syntax error anywhere outranks any validity error or refusal.
+        # Drain the remaining events to surface one before re-raising.
         for _ in events:
             pass
         raise
@@ -250,7 +253,7 @@ def fused_parse(
 
 def _dispatch_info(schema, class_by_declaration, declaration) -> tuple:
     """Build one per-declaration dispatch entry: ``(cls, type_definition,
-    structured, dfa, table, content_type, has_required, cinfo, memo)``.
+    structured, dfa, table, content_type, has_required, cinfo)``.
 
     Entries live in ``binding._ingest_dispatch`` keyed on
     ``id(declaration)``, shared by both routes of the typed walk.
@@ -281,13 +284,6 @@ def _dispatch_info(schema, class_by_declaration, declaration) -> tuple:
         content_type,
         has_required,
         _construct_info(cls),
-        # Accepted-leaf-value memo, used by the table route only: a
-        # bounded set of raw text contents this declaration's simple
-        # type has already accepted, so repeated values skip the
-        # facet/lexical re-validation.  Validation is pure, so caching
-        # acceptance is observationally free; rejections are never
-        # cached (the error path re-raises identically every time).
-        {},
     )
 
 
@@ -295,7 +291,9 @@ def _construct_info(cls) -> tuple:
     """Class-derived constants ``_construct`` would otherwise re-derive
     per element: the tag, the pre-rendered abstractness rejection (or
     None), the declared type and its two fast-path classifications, the
-    element-level ``fixed`` value, and the attribute tables."""
+    element-level ``fixed`` value, the attribute tables, and the simple
+    type checking the element's text with that type's accepted-literal
+    memo (None when the type accepts every literal)."""
     declaration = cls._DECLARATION
     type_definition = cls._TYPE
     abstract_error = None
@@ -310,6 +308,14 @@ def _construct_info(cls) -> tuple:
             f"'{declaration.name}' is abstract"
         )
     lookup, defaults = cls.__dict__.get("_INGEST_ATTRS") or _build_attr_tables(cls)
+    leaf = (
+        type_definition
+        if isinstance(type_definition, SimpleType)
+        else type_definition.simple_content
+    )
+    accepted = None
+    if leaf is not None and not leaf.accepts_everything():
+        accepted = leaf.accepted
     return (
         declaration.name,
         abstract_error,
@@ -319,17 +325,22 @@ def _construct_info(cls) -> tuple:
         declaration.fixed,
         lookup,
         defaults,
+        leaf,
+        accepted,
     )
 
 
-def _construct(binding: Binding, frame: _Frame) -> TypedElement:
+def _construct(binding: Binding, frame: _Frame, use_tables: bool) -> TypedElement:
     """Allocate the typed element for a completed frame.
 
     Mirrors ``TypedElement.__init__`` as driven by ``Binding.from_dom``
     — same checks, same messages, same ordering — but allocates
     directly: names were already validated by the parser (or come from
     the schema), and the content-model DFA was stepped during parsing,
-    so neither is re-run.
+    so neither is re-run.  On the table route a leaf value that its
+    type accepted before (or any value of a type accepting everything)
+    is not checked again, without a call; the reference route checks
+    every value.
     """
     cls = frame.cls
     (
@@ -341,6 +352,8 @@ def _construct(binding: Binding, frame: _Frame) -> TypedElement:
         fixed,
         lookup,
         defaults,
+        leaf,
+        accepted,
     ) = frame.cinfo
     if abstract_error is not None:
         raise VdomTypeError(abstract_error)
@@ -387,6 +400,8 @@ def _construct(binding: Binding, frame: _Frame) -> TypedElement:
             continue
         key = lookup.get(name)
         if key is None:
+            if is_any and not name.startswith("xsi:"):
+                raise UnsupportedFeatureError(any_type_refusal(tag))
             element._attribute_field(name)  # raises "has no attribute"
         existing = attrs.get(key)
         if existing is not None:
@@ -403,16 +418,13 @@ def _construct(binding: Binding, frame: _Frame) -> TypedElement:
                     f"<{tag}> has a simple type and may not "
                     "carry attributes"
                 )
-            memo = frame.memo
-            if memo is None or data not in memo:
+            if not use_tables or (accepted is not None and data not in accepted):
                 try:
-                    type_definition.parse(data)
+                    (leaf.check if use_tables else leaf.parse)(data)
                 except SimpleTypeError as error:
                     raise VdomTypeError(
                         f"content of <{tag}>: {error.message}"
                     )
-                if memo is not None and len(memo) < _VALUE_MEMO_LIMIT:
-                    memo[data] = True
         elif not is_any:
             matcher = frame.matcher
             if matcher is not None and type_definition is frame.type_definition:
@@ -456,18 +468,16 @@ def _construct(binding: Binding, frame: _Frame) -> TypedElement:
                         raise VdomTypeError(
                             f"<{tag}> must be empty"
                         )
-                else:  # ContentType.SIMPLE
-                    memo = frame.memo
-                    if memo is None or data not in memo:
-                        try:
-                            type_definition.simple_content.parse(data)
-                        except SimpleTypeError as error:
-                            raise VdomTypeError(
-                                f"content of <{tag}>: "
-                                f"{error.message}"
-                            )
-                        if memo is not None and len(memo) < _VALUE_MEMO_LIMIT:
-                            memo[data] = True
+                elif not use_tables or (
+                    accepted is not None and data not in accepted
+                ):  # ContentType.SIMPLE
+                    try:
+                        (leaf.check if use_tables else leaf.parse)(data)
+                    except SimpleTypeError as error:
+                        raise VdomTypeError(
+                            f"content of <{tag}>: "
+                            f"{error.message}"
+                        )
             else:
                 # A class whose declared type differs from the matched
                 # declaration's: run the full check, exactly as the typed

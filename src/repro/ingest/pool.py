@@ -16,11 +16,17 @@ preparation/runtime split applied to the pool itself:
   queues (one :class:`multiprocessing.Queue` each) instead of one
   ``pool.map`` task per file, and observability ships back as one
   snapshot delta per *batch*, not per file;
-* **consistent-hash sharding** — :class:`HashRing` maps a document's
-  path to a worker, so the same document lands on the same worker
-  across batches and across repeated runs.  Per-worker verdict caches
-  (an in-memory layer over the persistent verdict store) therefore stay
-  hot, and losing one worker remaps only that worker's shard;
+* **placement** — :meth:`ValidationPool.place` remembers each path's
+  ``stat`` signature and worker from the previous ``validate_files``
+  call.  An unchanged path goes back to that worker (or, if it died,
+  to its consistent-hash shard, :class:`HashRing`), so its entry in the
+  per-worker verdict cache (an in-memory layer over the persistent
+  verdict store, one entry per path) stays hot across repeated runs.
+  Every other path is dealt, largest first, to the live worker with
+  the fewest dealt bytes (:func:`deal`), so the documents that need
+  validating spread evenly and no worker waits on a busier sibling.
+  The signature is only a hint: workers read and hash every file, so a
+  stale one costs balance, never a stale verdict;
 * **crash recovery** — the parent-side collector notices a dead worker
   (``is_alive`` goes false), removes it from the ring, and requeues its
   in-flight batches to a sibling.  The requeue is counted
@@ -43,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
+from collections.abc import Callable
 import queue as queue_module
 import signal
 import threading
@@ -64,7 +71,8 @@ __all__ = ["HashRing", "ValidationPool"]
 #: completes on the sibling.  Exercised by the crash-recovery tests.
 CRASH_ENV = "REPRO_POOL_CRASH_ONCE"
 
-#: in-memory verdict entries a worker keeps before evicting the oldest
+#: paths whose latest verdict a worker keeps in memory before evicting
+#: the least recently used
 HOT_VERDICT_ENTRIES = 4096
 
 #: how often (seconds) the collector wakes to check worker liveness
@@ -140,36 +148,89 @@ class HashRing:
 class _HotVerdicts:
     """A bounded in-memory layer over the persistent verdict store.
 
-    Sharding sends the same path to the same worker run after run, so
-    this per-worker memo answers repeat verdicts without touching the
-    cache directory at all; everything still writes through, so a
-    *different* pool (or an inline run) sees the same verdicts.
+    Placement sends an unchanged path back to the worker that judged
+    it, so this per-worker memo answers repeat verdicts without touching
+    the cache directory at all; everything still writes through, so a
+    *different* pool (or an inline run) sees the same verdicts.  It
+    keeps only the latest ``(key, verdict)`` of each path: a rewritten
+    file supersedes its older revisions, which still hit through the
+    persistent store.
     """
 
-    def __init__(self, cache, max_entries: int = HOT_VERDICT_ENTRIES):
-        self._cache = cache
-        self._memo: OrderedDict[tuple[str, str], Any] = OrderedDict()
+    def __init__(self, store, max_entries: int = HOT_VERDICT_ENTRIES):
+        self._store = store
+        self._memo: OrderedDict[str, tuple[str, Any]] = OrderedDict()
         self._max_entries = max_entries
 
-    def get_json(self, kind: str, key: str):
-        memo_key = (kind, key)
-        if memo_key in self._memo:
-            self._memo.move_to_end(memo_key)
-            return self._memo[memo_key]
-        value = self._cache.get_json(kind, key)
-        if value is not None:
-            self._remember(memo_key, value)
-        return value
+    def get(self, path: str, key: str):
+        entry = self._memo.get(path)
+        if entry is not None and entry[0] == key:
+            self._memo.move_to_end(path)
+            return entry[1]
+        verdict = self._store.get(path, key)
+        if verdict is not None:
+            self._remember(path, key, verdict)
+        return verdict
 
-    def put_json(self, kind: str, key: str, value) -> None:
-        self._cache.put_json(kind, key, value)
-        self._remember((kind, key), value)
+    def put(self, path: str, key: str, verdict) -> None:
+        self._store.put(path, key, verdict)
+        self._remember(path, key, verdict)
 
-    def _remember(self, memo_key: tuple[str, str], value) -> None:
-        self._memo[memo_key] = value
-        self._memo.move_to_end(memo_key)
+    def _remember(self, path: str, key: str, verdict) -> None:
+        self._memo[path] = (key, verdict)
+        self._memo.move_to_end(path)
         while len(self._memo) > self._max_entries:
             self._memo.popitem(last=False)
+
+
+def deal(
+    names: list[str],
+    signatures: list[tuple | None],
+    previous: dict[str, tuple[tuple, int]],
+    shard_of: Callable[[str], int],
+    workers: list[int],
+) -> tuple[list[int], int]:
+    """Place each of *names* on a worker: ``(owners, dealt count)``.
+
+    *previous* maps a path to its ``stat`` signature and worker from the
+    last placement.  A path whose signature (``(st_mtime_ns, st_size,
+    st_ino)``, or None when it cannot be read) is unchanged stays home:
+    on that worker, where its verdict is hot, or on its shard,
+    ``shard_of(path)``, when that worker is no longer among the live
+    *workers*.  The others are dealt, largest first (ties in input
+    order), to the worker with the fewest dealt bytes so far (ties to
+    the earlier worker), so no worker's dealt bytes exceed another's by
+    more than the largest dealt file.
+    """
+    owners = [0] * len(names)
+    dealt: list[int] = []
+    for index, (name, signature) in enumerate(zip(names, signatures)):
+        entry = previous.get(name)
+        if signature is not None and entry is not None and entry[0] == signature:
+            home = entry[1]
+            owners[index] = home if home in workers else shard_of(name)
+        else:
+            dealt.append(index)
+
+    def size(index: int) -> int:
+        signature = signatures[index]
+        return 0 if signature is None else signature[1]
+
+    load = {worker: 0 for worker in workers}
+    for index in sorted(dealt, key=size, reverse=True):
+        worker = min(load, key=load.__getitem__)
+        owners[index] = worker
+        load[worker] += size(index)
+    return owners, len(dealt)
+
+
+def _signature(path: str) -> tuple | None:
+    """The ``stat`` fields placement compares, or None."""
+    try:
+        status = os.stat(path)
+    except OSError:
+        return None
+    return (status.st_mtime_ns, status.st_size, status.st_ino)
 
 
 def _crash_requested(path: str, marker: str | None) -> bool:
@@ -332,6 +393,9 @@ class ValidationPool:
             process.start()
             self._workers[worker_id] = _Worker(process, task_queue)
         self._ring = HashRing(self._workers)
+        #: path -> (stat signature, worker) from the previous
+        #: :meth:`place` call
+        self._placed: dict[str, tuple[tuple, int]] = {}
         self._lock = threading.Lock()
         self._pending: dict[int, _Pending] = {}
         self._task_ids = itertools.count()
@@ -365,28 +429,66 @@ class ValidationPool:
         with self._lock:
             return self._ring.lookup(os.fspath(path))
 
+    def place(self, paths: list[str]) -> tuple[list[int], int]:
+        """The worker for each of *paths*, and how many were dealt.
+
+        Unchanged paths (same ``stat`` signature as in the previous
+        call) stay on the worker they went to then, where their
+        verdicts are hot; the rest are dealt evenly by size over the
+        live workers (:func:`deal`).  Only this call's placements are
+        kept for the next one.
+        """
+        signatures = [_signature(path) for path in paths]
+        with self._lock:
+            workers = [
+                worker_id
+                for worker_id, worker in self._workers.items()
+                if worker.live
+            ]
+            if not workers:
+                raise ReproError("hash ring is empty: no live workers")
+            owners, dealt = deal(
+                paths, signatures, self._placed, self._ring.lookup, workers
+            )
+            self._placed = {
+                path: (signature, owner)
+                for path, signature, owner in zip(paths, signatures, owners)
+                if signature is not None
+            }
+        return owners, dealt
+
     def submit_batch(
-        self, paths: list[str], key: str | None = None
+        self,
+        paths: list[str],
+        key: str | None = None,
+        worker: int | None = None,
     ) -> Future:
         """Queue one batch of document paths; resolves to the records.
 
         *key* is the shard key (default: the first path) — callers
         grouping paths by :meth:`shard_of` pass any path of the group so
-        the whole batch lands on its shard's worker.
+        the whole batch lands on its shard's worker.  *worker* names the
+        worker instead (a :meth:`place` result); if it is not live, the
+        key decides.  A batch whose worker dies is requeued by its key.
         """
         names = [os.fspath(path) for path in paths]
-        return self._submit("batch", names, key or names[0])
+        return self._submit("batch", names, key or names[0], worker)
 
     def submit_text(self, text: str, key: str | None = None) -> Future:
         """Queue one raw document body; resolves to the JSON verdict."""
         return self._submit("text", text, key if key is not None else text)
 
-    def _submit(self, kind: str, payload, key: str) -> Future:
+    def _submit(
+        self, kind: str, payload, key: str, worker: int | None = None
+    ) -> Future:
         future: Future = Future()
         with self._lock:
             if self._closed:
                 raise ReproError("validation pool is closed")
-            worker_id = self._ring.lookup(key)  # raises when all died
+            if worker is not None and self._workers[worker].live:
+                worker_id = worker
+            else:
+                worker_id = self._ring.lookup(key)  # raises when all died
             task_id = next(self._task_ids)
             self._pending[task_id] = _Pending(
                 kind, payload, key, worker_id, future

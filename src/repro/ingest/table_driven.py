@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from repro import obs
 from repro.core.vdom import Binding, TypedElement
-from repro.errors import VdomTypeError
+from repro.errors import UnsupportedFeatureError, VdomTypeError
 from repro.ingest.fused import _TypedWalk, fused_parse
 from repro.xml.turbo import _Restart, scan
 
@@ -47,13 +47,19 @@ def table_parse(
     """
     binding._require_no_namespaces("table-driven ingest")
     walk = _TypedWalk(binding, use_tables=True)
+    # The binding's tag memo, kept from one document to the next (its
+    # bounds are the scanner's).
+    tags = binding.__dict__.get("_ingest_tags")
+    if tags is None:
+        tags = binding._ingest_tags = {}
     try:
-        scan(text, walk)
+        scan(text, walk, tags)
     except _Restart as restart:
         reason = restart.reason
-    except VdomTypeError:
-        # The fused route decides validity verdicts (and drains the rest
-        # of the document so syntax errors keep their precedence).
+    except (VdomTypeError, UnsupportedFeatureError):
+        # The fused route decides validity verdicts and refusals (and
+        # drains the rest of the document so syntax errors keep their
+        # precedence).
         reason = "validation"
     else:
         obs.count("ingest.turbo", outcome="hit")

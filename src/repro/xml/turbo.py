@@ -5,13 +5,14 @@ through :class:`~repro.xml.parser.PullParser` events: typed ingest
 (:func:`repro.ingest.table_driven.table_parse`) and streaming validation
 (:meth:`repro.xsd.stream.StreamingValidator.validate_text`).  Both call
 :func:`scan`, which drives a sink's ``start(name, attributes, offset)``,
-``end()`` and ``characters(data, offset)`` handlers — the same calls the
-consumers make from ``StartElement`` / ``EndElement`` / ``Characters``
-events.  Every subset decision lives here, so both lanes leave the
-subset at the same places and for the same reasons: on any construct
-outside it :func:`scan` raises :class:`_Restart`, and the caller re-runs
-the document through the event parser, which produces the authoritative
-result — same verdicts, same :class:`~repro.errors.XmlSyntaxError`, same
+``end(offset)`` and ``characters(data, offset)`` handlers — the same
+calls the consumers make from ``StartElement`` / ``EndElement`` /
+``Characters`` events.  Every subset decision lives here, so both lanes
+leave the subset at the same places and for the same reasons: on any
+construct outside it :func:`scan` raises :class:`_Restart`, and the
+caller re-runs the document through the event parser, which produces
+the authoritative result — same verdicts, same
+:class:`~repro.errors.XmlSyntaxError`, same
 :class:`~repro.errors.Location`.
 
 The subset is chosen so that everything it accepts is well-formed XML
@@ -23,9 +24,13 @@ and valid character references.  A ``>`` inside an attribute value is
 legal XML but ends the tag body the scanner slices, so it restarts.
 
 The walk finds each ``<`` and the ``>`` after it with ``str.find`` and
-parses each distinct tag body once per document; repeated tags cost one
-dict probe.  Offsets count characters after a leading byte-order mark,
-as the event parser's locations do.
+parses each distinct tag body once per tag memo, a dict the caller owns
+and keeps from one document to the next (a validator, or a typed
+binding); repeated tags cost one dict probe.  A memo holds at most
+:data:`TAG_MEMO_ENTRIES` bodies of at most :data:`TAG_BODY_LIMIT`
+characters; a full memo stops inserting, and what it holds keeps
+hitting.  Offsets count characters after a leading byte-order mark, as
+the event parser's locations do.
 
 This module depends on nothing beyond the XML character model, so
 importing it does not load :mod:`repro.ingest`.
@@ -101,30 +106,43 @@ _HAZARD_REASONS = (
 #: tag kinds in a parsed tag body
 _START, _EMPTY, _END = range(3)
 
+#: parsed tag bodies one memo holds; a full one stops inserting.  A
+#: document's first tags are the ones that repeat (in perfbench's
+#: corpora the 32 most frequent bodies are 89-95% of all tags, and no
+#: bulk family has more than 107), while a typed binding fed purchase
+#: orders would fill a larger memo with one-off ``<item partNum=...>``
+#: bodies that only cost memory
+TAG_MEMO_ENTRIES = 128
+#: the longest tag body (in characters) a memo stores
+TAG_BODY_LIMIT = 256
 
-def scan(text: str, sink) -> None:
+
+def scan(text: str, sink, tags: dict[str, tuple]) -> None:
     """Walk *text* into *sink*'s handlers, or raise :class:`_Restart`.
 
     *sink* gets ``start(name, attributes, offset)`` for every start tag
-    (``attributes`` is a sequence of ``(name, value)`` pairs, shared by
-    repeats of the same tag body, so handlers must not mutate it),
-    ``end()`` for every end tag and right after the ``start`` of a
-    self-closing tag, and ``characters(data, offset)`` for each text run
-    inside the root element, references decoded and joined into the one
-    run the event parser reports as a ``Characters`` event.  Offsets
-    point at the ``<`` of a tag and the first character of a run.
-    Exceptions raised by the handlers propagate unchanged.
+    (``attributes`` is a sequence of ``(name, value)`` pairs; the memo
+    hands every repeat of a body it holds the same tuple, and a body it
+    does not hold gets a fresh list), ``end(offset)`` for every end tag
+    and right after the ``start`` of a self-closing tag, and
+    ``characters(data, offset)`` for each text run inside the root
+    element, references decoded and joined into the one run the event
+    parser reports as a ``Characters`` event.  Offsets point at the
+    ``<`` of a tag (for a self-closing tag's ``end``, its own ``<``) and
+    the first character of a run.  Exceptions raised by the handlers
+    propagate unchanged.  *tags* is the caller's tag memo: body ->
+    ``(name, attributes, kind)``, pure results only.
 
     A walk that completes saw a well-formed document, so the calls made
     are the document's whole event stream; a :class:`_Restart` may come
     after any number of calls, which the caller then discards.
     """
     text, pos = _subset_start(text)
+    room = TAG_MEMO_ENTRIES - len(tags)
     start = sink.start
     end = sink.end
     characters = sink.characters
     find = text.find
-    tags: dict[str, tuple] = {}
     open_names: list[str] = []
     seen_root = False
     while True:
@@ -147,13 +165,20 @@ def scan(text: str, sink) -> None:
         body = text[lt + 1 : gt]
         tag = tags.get(body)
         if tag is None:
-            tag = tags[body] = _parse_tag(body)
+            tag = _parse_tag(body)
+            if room > 0 and gt - lt - 1 <= TAG_BODY_LIMIT:
+                if tag[1]:
+                    # Every repeat gets this body's attributes: a tuple,
+                    # so no handler can change them for the next one.
+                    tag = (tag[0], tuple(tag[1]), tag[2])
+                tags[body] = tag
+                room -= 1
         pos = gt + 1
         name, attributes, kind = tag
         if kind == _END:
             if not open_names or open_names.pop() != name:
                 raise _Restart("tag mismatch")
-            end()
+            end(lt)
             continue
         if not open_names:
             if seen_root:
@@ -161,7 +186,7 @@ def scan(text: str, sink) -> None:
             seen_root = True
         start(name, attributes, lt)
         if kind == _EMPTY:
-            end()
+            end(lt)
         else:
             open_names.append(name)
     if open_names:

@@ -337,6 +337,19 @@ def _has_elements(particle: Particle) -> bool:
 ANY_TYPE = ComplexType(name="anyType", mixed=True)
 
 
+def derives_from(candidate, declared) -> bool:
+    """True when type *candidate* may stand for *declared* through
+    ``xsi:type``: it is *declared*, derives from it, or *declared* is
+    ``xs:anyType``."""
+    if declared is ANY_TYPE:
+        return True
+    if isinstance(candidate, ComplexType) and isinstance(declared, ComplexType):
+        return candidate.is_derived_from(declared)
+    if isinstance(candidate, SimpleType) and isinstance(declared, SimpleType):
+        return candidate.is_derived_from(declared)
+    return False
+
+
 class Schema:
     """A resolved schema: global components plus automaton caching."""
 

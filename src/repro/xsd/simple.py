@@ -35,6 +35,12 @@ class Variety(enum.Enum):
 
 Kernel = Callable[[str], Any]
 
+#: literals one type's accepted-literal memo holds; a full one stops
+#: inserting (typed ingest's per-declaration memo had the same cap)
+ACCEPTED_LITERALS = 4096
+#: the longest literal that memo stores; a longer one is checked afresh
+ACCEPTED_LITERAL_LENGTH = 64
+
 
 class SimpleType:
     """A simple type definition (built-in or schema-derived)."""
@@ -64,6 +70,9 @@ class SimpleType:
         self.python_type = python_type or (
             base.python_type if base is not None else str
         )
+        #: literals :meth:`check` accepted; callers on the fast routes
+        #: probe it inline before calling :meth:`check`
+        self.accepted: set[str] = set()
 
     # -- identity ------------------------------------------------------------
 
@@ -86,6 +95,8 @@ class SimpleType:
         state = dict(self.__dict__)
         # The chain holds closures; a warm start compiles it again.
         state.pop("_chain", None)
+        # The memo is run-time state: the artifact stays as it was.
+        state.pop("accepted", None)
         # A derived type usually shares its base's kernel object; that
         # reference may be an unpicklable closure (the Gregorian
         # builtins).  Mark it inherited and re-resolve after load.
@@ -95,6 +106,7 @@ class SimpleType:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self.accepted = set()
         if isinstance(self._kernel, str):  # the inherited-kernel marker
             self._kernel = (
                 self.base._kernel if self.base is not None else values.parse_string
@@ -141,6 +153,39 @@ class SimpleType:
         if chain is None:
             chain = self._chain = self._compile()
         return chain(raw)
+
+    def check(self, raw: str) -> None:
+        """Raise :class:`SimpleTypeError` unless *raw* is a valid literal.
+
+        The check-only entry point of the fast routes (the streaming
+        walker's table route and typed ingest's table route): it runs
+        the chain of :meth:`parse` and remembers each literal it
+        accepted in :attr:`accepted`, so a repeat costs one set probe.
+        A rejection is never remembered, so its error is raised afresh
+        every time.  The memo holds at most :data:`ACCEPTED_LITERALS`
+        literals of at most :data:`ACCEPTED_LITERAL_LENGTH` characters;
+        a full memo stops inserting, and what it holds keeps hitting.
+        Validity is a pure function of the literal, so the memo changes
+        time, never an answer.
+        """
+        accepted = self.accepted
+        if raw in accepted:
+            return
+        chain = self._chain
+        if chain is None:
+            chain = self._chain = self._compile()
+        chain(raw)
+        if len(accepted) < ACCEPTED_LITERALS and len(raw) <= ACCEPTED_LITERAL_LENGTH:
+            accepted.add(raw)
+
+    def accepts_everything(self) -> bool:
+        """True when the compiled chain is the identity (``xs:string``):
+        every literal the XML parser lets through is valid, so the fast
+        routes skip both the check and the memo."""
+        chain = self._chain
+        if chain is None:
+            chain = self._chain = self._compile()
+        return chain is values.parse_string
 
     def _compile(self) -> Callable[[str], Any]:
         facets = self.facets

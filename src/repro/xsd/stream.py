@@ -32,6 +32,18 @@ the simple type checking the text, the fixed value, the abstract flag —
 are derived once per (declaration, effective type) pair, not per
 element.
 
+On the table route a validator also keeps what it learns from one
+document for the next: the turbo scanner's parsed tag bodies, the
+namespace scopes (interned by parent scope and ``xmlns`` declarations,
+each with its resolved element and attribute names), the attribute sets
+that checked clean under a scope and declaration, and — on each simple
+type — the literals it accepted (:meth:`SimpleType.check`).  Every memo
+holds pure results only, has an entry cap (a full memo stops inserting,
+and what it holds keeps hitting) and a length limit on what it stores,
+so a long-lived validator gives each document exactly a fresh
+validator's errors.  The reference route (``use_tables=False``) keeps
+nothing between documents and checks every literal afresh.
+
 Namespaces are tracked as a stack of in-scope ``xmlns`` bindings pushed
 per start tag: element and attribute names resolve to expanded names and
 match the schema's component keys, XSI attributes are recognized by
@@ -63,6 +75,7 @@ from repro.xsd.components import (
     ContentType,
     ElementDeclaration,
     Schema,
+    derives_from,
     expanded_name,
 )
 from repro.xsd.simple import SimpleType
@@ -72,6 +85,17 @@ from repro.xsd.simple import SimpleType
 _IGNORED = object()
 #: an attribute naming ``xsi:type`` (by resolved namespace)
 _XSI_TYPE = object()
+
+#: interned namespace scopes a validator keeps (table route)
+SCOPE_MEMO_ENTRIES = 256
+#: lexical element or attribute names one scope remembers resolving
+NAME_MEMO_ENTRIES = 512
+#: attribute sets a validator remembers as clean under a scope and
+#: declaration (table route)
+CLEAN_MEMO_ENTRIES = 1024
+#: the longest name, ``xmlns`` declaration set or attribute value total
+#: (in characters) that any of these memos stores
+MEMO_KEY_LENGTH = 256
 
 
 class _Facts:
@@ -90,6 +114,8 @@ class _Facts:
         "uses",
         "required",
         "simple",
+        "check",
+        "accepted",
         "fixed",
         "collects",
         "text_kind",
@@ -110,6 +136,7 @@ class _Facts:
         self.abstract = False
         #: content model (DfaTable, or object Dfa) for element/mixed content
         self.model = None
+        #: attribute key -> (fixed value, check of its literal) over the
         #: effective attribute uses; ``None`` for simple types
         self.uses = None
         self.required: tuple[str, ...] = ()
@@ -135,13 +162,38 @@ class _Facts:
                 elif content_type is ContentType.SIMPLE:
                     assert type_definition.simple_content is not None
                     self.simple = type_definition.simple_content
-                self.uses = type_definition.effective_attribute_uses()
+                uses = type_definition.effective_attribute_uses()
+                self.uses = {
+                    key: (
+                        use.fixed,
+                        _literal_check(use.declaration.resolved_type(), use_tables),
+                    )
+                    for key, use in uses.items()
+                }
                 self.required = tuple(
-                    key for key, use in self.uses.items() if use.required
+                    key for key, use in uses.items() if use.required
                 )
         else:
             self.simple = type_definition
-        self.collects = self.simple is not None or self.fixed is not None
+        #: the check of the element's text (None when any text is valid)
+        #: and, on the table route, its type's accepted-literal memo
+        self.check = None
+        self.accepted = None
+        if self.simple is not None:
+            self.check = _literal_check(self.simple, use_tables)
+            if use_tables and self.check is not None:
+                self.accepted = self.simple.accepted
+        self.collects = self.check is not None or self.fixed is not None
+
+
+def _literal_check(simple: SimpleType, use_tables: bool):
+    """How a route checks a literal of *simple*: the memoized
+    :meth:`SimpleType.check` on the table route (None when the type
+    accepts everything), a fresh :meth:`SimpleType.parse` on the
+    reference route."""
+    if not use_tables:
+        return simple.parse
+    return None if simple.accepts_everything() else simple.check
 
 
 class _Frame:
@@ -166,9 +218,11 @@ _SKIP = _Frame.__new__(_Frame)
 class _Scope:
     """In-scope ``xmlns`` bindings of one element, with name memos.
 
-    Elements without declarations share their parent's scope, so the
-    common case (namespace-free documents, or declarations only on the
-    root) resolves each distinct name once per document.
+    Elements without declarations share their parent's scope, and on
+    the table route the validator interns scopes across documents
+    (:meth:`StreamingValidator._enter`), so each distinct name resolves
+    once per validator; the reference route makes fresh scopes for
+    every document.
     """
 
     __slots__ = ("bindings", "elements", "attributes")
@@ -180,19 +234,11 @@ class _Scope:
         #: lexical attribute name -> key, ``_IGNORED`` or ``_XSI_TYPE``
         self.attributes: dict[str, object] = {}
 
-    def enter(self, attributes) -> _Scope:
-        """The scope of an element carrying *attributes*."""
-        overrides: dict[str, str] | None = None
-        for name, value in attributes:
-            if name == "xmlns":
-                overrides = overrides or {}
-                overrides[""] = value
-            elif name.startswith("xmlns:"):
-                overrides = overrides or {}
-                overrides[name[len("xmlns:") :]] = value
-        if overrides is None:
-            return self
-        return _Scope({**self.bindings, **overrides})
+
+def _remember(memo: dict, key: str, value) -> None:
+    """Store a resolved name in a scope's bounded memo."""
+    if len(memo) < NAME_MEMO_ENTRIES and len(key) <= MEMO_KEY_LENGTH:
+        memo[key] = value
 
 
 class _Walk:
@@ -214,19 +260,20 @@ class _Walk:
         self.stack: list[_Frame] = []
         self.errors: list[ValidationError] = []
         self._validator = validator
-        self._scopes = [_Scope({"xml": XML_NAMESPACE})]
+        self._scopes = [validator._root_scope()]
         self._text = text
         self._reader: Reader | None = None
 
     def start(self, name: str, attributes, where) -> None:
+        validator = self._validator
         scope = self._scopes[-1]
         if attributes:
-            scope = scope.enter(attributes)
+            scope = validator._enter(scope, attributes)
         self._scopes.append(scope)
-        validator = self._validator
         key = scope.elements.get(name)
         if key is None:
-            key = scope.elements[name] = validator._element_key(name, scope.bindings)
+            key = validator._element_key(name, scope.bindings)
+            _remember(scope.elements, name, key)
         stack = self.stack
         if not stack:
             declaration = validator._schema.elements.get(key)
@@ -289,7 +336,9 @@ class _Walk:
         if facts.collects:
             frame.text.append(data)
 
-    def end(self) -> None:
+    def end(self, where) -> None:
+        """Close the innermost element; *where* is its end tag (the tag
+        itself for ``<a/>``), where content errors are located."""
         self._scopes.pop()
         frame = self.stack.pop()
         if frame is _SKIP:
@@ -300,24 +349,30 @@ class _Walk:
             expected = ", ".join(f"<{key}>" for key in matcher.expected())
             self.error(
                 f"content of <{facts.name}> ends too early; expected {expected}",
-                path=self.path(frame.key),
+                where,
+                self.path(frame.key),
             )
         if not facts.collects:
             return
         text = "".join(frame.text)
-        if facts.simple is not None:
-            try:
-                facts.simple.parse(text)
-            except SimpleTypeError as error:
-                self.error(
-                    f"content of <{facts.name}>: {error.message}",
-                    path=self.path(frame.key),
-                )
+        check = facts.check
+        if check is not None:
+            accepted = facts.accepted
+            if accepted is None or text not in accepted:
+                try:
+                    check(text)
+                except SimpleTypeError as error:
+                    self.error(
+                        f"content of <{facts.name}>: {error.message}",
+                        where,
+                        self.path(frame.key),
+                    )
         if facts.fixed is not None and text != facts.fixed:
             self.error(
                 f"element '{facts.name}' must have the "
                 f"fixed value {facts.fixed!r}",
-                path=self.path(frame.key),
+                where,
+                self.path(frame.key),
             )
 
     def path(self, leaf: str | None = None) -> str:
@@ -358,6 +413,17 @@ class StreamingValidator:
         self._namespaced = schema.uses_namespaces
         #: id(declaration), or (id(declaration), id(xsi:type)) -> facts
         self._facts: dict[object, _Facts] = {}
+        # The memos that outlive a document (table route only; see the
+        # module docstring): the scanner's tag bodies, the root scope and
+        # its interned descendants, and the clean attribute sets.
+        self._tags: dict[str, tuple] = {}
+        self._root: _Scope | None = None
+        self._scopes: dict[tuple, _Scope] | None = None
+        self._clean: set[tuple] | None = None
+        if use_tables:
+            self._root = _Scope({"xml": XML_NAMESPACE})
+            self._scopes = {}
+            self._clean = set()
 
     # -- entry points ---------------------------------------------------------
 
@@ -372,7 +438,7 @@ class StreamingValidator:
         with obs.span("xsd.stream.validate"):
             walk = _Walk(self, text)
             try:
-                scan(text, walk)
+                scan(text, walk, self._tags)
             except _Restart as restart:
                 obs.count("xsd.stream", outcome="restart", reason=restart.reason)
                 errors = self._walk_events(PullParser(text))
@@ -401,13 +467,59 @@ class StreamingValidator:
             if isinstance(event, StartElement):
                 start(event.name, event.attributes, event.location)
             elif isinstance(event, EndElement):
-                end()
+                end(event.location)
             elif isinstance(event, Characters):
                 characters(event.data, event.location)
             # comments / PIs / doctype / declarations are transparent
         return walk.errors
 
     # -- namespace resolution ---------------------------------------------------
+
+    def _root_scope(self) -> _Scope:
+        """The scope a document starts in: the validator's own on the
+        table route, a fresh one per document on the reference route."""
+        root = self._root
+        return _Scope({"xml": XML_NAMESPACE}) if root is None else root
+
+    def _enter(self, scope: _Scope, attributes) -> _Scope:
+        """The scope of an element carrying *attributes* inside *scope*.
+
+        A child scope is keyed by its parent and its ``xmlns``
+        declarations, so on the table route the same declarations under
+        the same parent give the same scope, with its resolved names,
+        in every document.
+        """
+        declarations = None
+        size = 0
+        for name, value in attributes:
+            if name[:5] != "xmlns":
+                continue
+            if name == "xmlns":
+                prefix = ""
+            elif name[5:6] == ":":
+                prefix = name[6:]
+            else:
+                continue
+            if declarations is None:
+                declarations = []
+            declarations.append((prefix, value))
+            size += len(name) + len(value)
+        if declarations is None:
+            return scope
+        key = (scope, tuple(declarations))
+        scopes = self._scopes
+        if scopes is not None:
+            child = scopes.get(key)
+            if child is not None:
+                return child
+        child = _Scope({**scope.bindings, **dict(declarations)})
+        if (
+            scopes is not None
+            and size <= MEMO_KEY_LENGTH
+            and len(scopes) < SCOPE_MEMO_ENTRIES
+        ):
+            scopes[key] = child
+        return child
 
     def _element_key(self, name: str, bindings: dict[str, str]) -> str:
         """Expanded name an element matches schema components under.
@@ -477,13 +589,23 @@ class StreamingValidator:
                 declaration, declaration.resolved_type(), self._schema, self._use_tables
             )
         items: list[tuple[str, str, str]] = []
+        override = None
+        clean = self._clean
         if attributes:
-            override = None
+            if (
+                clean is not None
+                and attributes.__class__ is tuple
+                and (scope, facts, attributes) in clean
+            ):
+                # These attributes checked clean here before.
+                walk.stack.append(_Frame(key, facts))
+                return
             memo = scope.attributes
             for name, value in attributes:
                 kind = memo.get(name)
                 if kind is None:
-                    kind = memo[name] = self._attribute_class(name, scope.bindings)
+                    kind = self._attribute_class(name, scope.bindings)
+                    _remember(memo, name, kind)
                 if kind is _IGNORED:
                     continue
                 if kind is _XSI_TYPE:
@@ -498,6 +620,16 @@ class StreamingValidator:
         if facts.skip:
             walk.stack.append(_SKIP)
             return
+        # Only a tuple can be a key: the scanner's one-off bodies (those
+        # its memo does not hold) come as lists and are not remembered.
+        memoize = (
+            clean is not None
+            and attributes.__class__ is tuple
+            and attributes
+            and override is None
+        )
+        if memoize:
+            errors = len(walk.errors)
         if facts.abstract:
             walk.error(
                 f"type '{facts.type_definition.name}' of element "
@@ -514,6 +646,8 @@ class StreamingValidator:
                 where,
                 walk.path(key),
             )
+        if memoize and len(walk.errors) == errors:
+            _remember_clean(clean, (scope, facts, attributes))
         walk.stack.append(_Frame(key, facts))
 
     def _override(
@@ -533,7 +667,7 @@ class StreamingValidator:
                 f"xsi:type names unknown type '{override}'", where, walk.path(key)
             )
             return facts
-        if not _derives_from(candidate, facts.type_definition):
+        if not derives_from(candidate, facts.type_definition):
             walk.error(
                 f"xsi:type '{override}' is not derived from the declared type",
                 where,
@@ -571,16 +705,19 @@ class StreamingValidator:
                     walk.path(display),
                 )
                 continue
-            if use.fixed is not None and value != use.fixed:
+            fixed, check = use
+            if fixed is not None and value != fixed:
                 walk.error(
                     f"attribute '{label}' must have the fixed value "
-                    f"{use.fixed!r}, found {value!r}",
+                    f"{fixed!r}, found {value!r}",
                     where,
                     walk.path(display),
                 )
                 continue
+            if check is None:
+                continue
             try:
-                use.declaration.resolved_type().parse(value)
+                check(value)
             except SimpleTypeError as error:
                 walk.error(
                     f"attribute '{label}' of <{display}>: {error.message}",
@@ -603,14 +740,16 @@ def _counted(errors: list[ValidationError]) -> list[ValidationError]:
     return errors
 
 
-def _derives_from(candidate, declared) -> bool:
-    if declared is ANY_TYPE:
-        return True
-    if isinstance(candidate, ComplexType) and isinstance(declared, ComplexType):
-        return candidate.is_derived_from(declared)
-    if isinstance(candidate, SimpleType) and isinstance(declared, SimpleType):
-        return candidate.is_derived_from(declared)
-    return False
+def _remember_clean(clean: set[tuple], key: tuple) -> None:
+    """Store a ``(scope, facts, attributes)`` that checked clean, unless
+    the memo is full or its attributes are too long to keep."""
+    if len(clean) >= CLEAN_MEMO_ENTRIES:
+        return
+    size = 0
+    for name, value in key[2]:
+        size += len(name) + len(value)
+    if size <= MEMO_KEY_LENGTH:
+        clean.add(key)
 
 
 def text_verdict(validator: StreamingValidator, text: str) -> dict:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import bind
 from repro.dom.serialize import serialize
-from repro.errors import VdomTypeError, XmlSyntaxError
+from repro.errors import UnsupportedFeatureError, VdomTypeError, XmlSyntaxError
 from repro.ingest import fused_parse, legacy_parse, parse_typed, table_parse
 from repro.schemas import (
     PURCHASE_ORDER_DOCUMENT,
@@ -19,6 +19,8 @@ from repro.schemas import (
     XHTML_SUBSET_SCHEMA,
 )
 from repro.schemas.purchase_order import PURCHASE_ORDER_INVALID_DOCUMENTS
+from repro.schemas.variants import ADDRESS_EXTENSION_SCHEMA
+from tests.xsd.test_xsi_type import BASE_ENTRY, US_ENTRY
 
 XHTML_DOCUMENT = """\
 <html>
@@ -187,6 +189,88 @@ class TestInvalidDocuments:
         with pytest.raises(XmlSyntaxError) as fused:
             fused_parse(po_binding, text)
         assert str(fused.value) == str(legacy.value)
+
+
+ANY_TYPE_SCHEMA = """\
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="any" type="xsd:anyType"/>
+</xsd:schema>
+"""
+
+_XSI = 'xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"'
+_ANY_REFUSAL = (
+    "typed ingest does not hold the child elements or attributes of <any>, "
+    "an xs:anyType element"
+)
+
+#: documents both validators accept and the typed tree cannot hold ->
+#: (schema, document, refusal)
+REFUSED = {
+    "any-type-child": (ANY_TYPE_SCHEMA, "<any><x>1</x></any>", _ANY_REFUSAL),
+    "any-type-children-and-text": (
+        ANY_TYPE_SCHEMA,
+        '<any>a<y b="c"><z/></y></any>',
+        _ANY_REFUSAL,
+    ),
+    "any-type-attribute": (ANY_TYPE_SCHEMA, '<any a="b"/>', _ANY_REFUSAL),
+    "xsi-type-derived": (
+        ADDRESS_EXTENSION_SCHEMA,
+        US_ENTRY,
+        "typed ingest does not unmarshal xsi:type: <entry> names type "
+        "'USAddress'",
+    ),
+    "xsi-type-declared": (
+        ADDRESS_EXTENSION_SCHEMA,
+        BASE_ENTRY.replace("<entry>", f'<entry {_XSI} xsi:type="Address">'),
+        "typed ingest does not unmarshal xsi:type: <entry> names type "
+        "'Address'",
+    ),
+}
+
+#: an ``xsi:type`` the validators reject -> (document, typed message)
+XSI_TYPE_INVALID = {
+    "unknown": (
+        US_ENTRY.replace("USAddress", "MartianAddress"),
+        "<state> is not allowed inside <entry>",
+    ),
+    "underived": (
+        BASE_ENTRY.replace("<entry>", f'<entry {_XSI} xsi:type="AddressBook">'),
+        "<entry> has no attribute 'xsi:type' (known: none)",
+    ),
+}
+
+
+class TestRefusals:
+    """What the typed tree cannot hold is refused, never misjudged."""
+
+    @pytest.mark.parametrize("name", sorted(REFUSED))
+    def test_every_route_refuses(self, name):
+        schema, text, message = REFUSED[name]
+        binding = bind(schema)
+        for route in TYPED_ROUTES:
+            with pytest.raises(UnsupportedFeatureError) as caught:
+                route(binding, text)
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize("name", sorted(XSI_TYPE_INVALID))
+    def test_rejected_xsi_type_stays_invalid(self, name):
+        text, message = XSI_TYPE_INVALID[name]
+        binding = bind(ADDRESS_EXTENSION_SCHEMA)
+        for route in TYPED_ROUTES:
+            with pytest.raises(VdomTypeError) as caught:
+                route(binding, text)
+            assert str(caught.value) == message
+
+    def test_plain_any_type_content_is_held(self):
+        binding = bind(ANY_TYPE_SCHEMA)
+        for route in TYPED_ROUTES:
+            assert serialize(route(binding, "<any>text</any>")) == "<any>text</any>"
+
+    def test_syntax_error_outranks_a_refusal(self):
+        binding = bind(ANY_TYPE_SCHEMA)
+        for route in TYPED_ROUTES:
+            with pytest.raises(XmlSyntaxError):
+                route(binding, "<any><x>1</x>")
 
 
 class TestDoctype:

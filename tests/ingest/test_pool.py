@@ -13,10 +13,11 @@ import signal
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
 from repro.ingest import HashRing, ValidationPool, auto_batch_size, validate_files
-from repro.ingest.pool import CRASH_ENV
+from repro.ingest.pool import CRASH_ENV, _HotVerdicts, deal
 from repro.schemas import PURCHASE_ORDER_DOCUMENT, PURCHASE_ORDER_SCHEMA
 from repro.schemas.purchase_order import PURCHASE_ORDER_INVALID_DOCUMENTS
 
@@ -211,6 +212,155 @@ class TestPooledVerdicts:
     def test_unbindable_schema_fails_in_the_parent(self, tmp_path):
         with pytest.raises(ReproError, match="not-a-schema"):
             ValidationPool("<not-a-schema/>", 2)
+
+
+def _shard(name):
+    """A stand-in ring: the shard is the path's trailing number mod 2."""
+    return int(name.rsplit("/", 1)[1]) % 2
+
+
+class TestPlacement:
+    def test_unchanged_paths_stay_home(self):
+        names = [f"/corpus/{index}" for index in range(20)]
+        before = [(1, 100 + index, index) for index in range(20)]
+        # Home is the worker a path went to last time: here the opposite
+        # of its shard, and worker 2 for two paths.
+        homes = [1 - _shard(name) for name in names]
+        homes[5] = homes[6] = 2
+        previous = {
+            name: (signature, home)
+            for name, signature, home in zip(names, before, homes)
+        }
+        now = list(before)
+        now[3] = (2, 103, 3)  # rewritten: new mtime
+        now[8] = (1, 999, 8)  # rewritten: new size
+        now[11] = None  # gone
+        owners, dealt = deal(names, now, previous, _shard, [0, 1])
+        assert dealt == 3
+        for index, name in enumerate(names):
+            if index in (5, 6):
+                # Worker 2 died: the ring decides.
+                assert owners[index] == _shard(name)
+            elif index not in (3, 8, 11):
+                assert owners[index] == homes[index]
+        # Largest first to the emptier worker, ties to the earlier one.
+        assert (owners[8], owners[3], owners[11]) == (0, 1, 1)
+
+    def test_a_first_call_deals_everything(self):
+        names = [f"/corpus/{index}" for index in range(6)]
+        sizes = [(1, size, index) for index, size in enumerate([5, 1, 4, 2, 3, 0])]
+        owners, dealt = deal(names, sizes, {}, _shard, [0, 1, 2])
+        assert dealt == 6
+        # 5 -> w0, 4 -> w1, 3 -> w2, 2 -> w2, 1 -> w1, 0 -> w0 (a tie).
+        assert owners == [0, 1, 1, 2, 2, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 10**6), min_size=1, max_size=60),
+        workers=st.integers(1, 6),
+        unchanged=st.lists(st.booleans(), min_size=60, max_size=60),
+    )
+    def test_dealt_bytes_differ_by_at_most_the_largest_file(
+        self, sizes, workers, unchanged
+    ):
+        names = [f"/corpus/{index}" for index in range(len(sizes))]
+        signatures = [(7, size, index) for index, size in enumerate(sizes)]
+        previous = {
+            name: (signature, index % workers)
+            for index, (name, signature, same) in enumerate(
+                zip(names, signatures, unchanged)
+            )
+            if same
+        }
+        owners, dealt = deal(
+            names, signatures, previous, _shard, list(range(workers))
+        )
+        loads = [0] * workers
+        largest = 0
+        for index, name in enumerate(names):
+            if name in previous:
+                assert owners[index] == previous[name][1]
+            else:
+                loads[owners[index]] += sizes[index]
+                largest = max(largest, sizes[index])
+        assert dealt == len(names) - len(previous)
+        assert max(loads) - min(loads) <= largest
+
+    def test_a_rewritten_shard_is_split_across_both_workers(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import obs
+
+        paths = []
+        for index in range(24):
+            path = tmp_path / f"doc{index}.xml"
+            path.write_text(PURCHASE_ORDER_DOCUMENT, encoding="utf-8")
+            paths.append(str(path))
+        with ValidationPool(PURCHASE_ORDER_SCHEMA, 2) as pool:
+            batches = []
+            submit = pool.submit_batch
+
+            def spy(names, key=None, worker=None):
+                batches.append((worker, names))
+                return submit(names, key=key, worker=worker)
+
+            monkeypatch.setattr(pool, "submit_batch", spy)
+            first = validate_files(
+                PURCHASE_ORDER_SCHEMA, paths, pool=pool, collect_obs=True
+            )
+            assert first["obs"]["counters"]["ingest.bulk.dealt"] == 24
+            batches.clear()
+            again = validate_files(
+                PURCHASE_ORDER_SCHEMA, paths, pool=pool, collect_obs=True
+            )
+            assert "ingest.bulk.dealt" not in again["obs"]["counters"]
+            # Worker 0's shard: the paths it holds, which stayed home.
+            shard = [name for worker, names in batches if worker == 0 for name in names]
+            assert 2 <= len(shard) < len(paths)
+            for path in shard:
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(
+                        PURCHASE_ORDER_DOCUMENT.replace("Alice Smith", "Alice Smithson")
+                    )
+            batches.clear()
+            report = validate_files(
+                PURCHASE_ORDER_SCHEMA, paths, pool=pool, collect_obs=True
+            )
+        obs.disable()
+        obs.reset()
+        assert report["obs"]["counters"]["ingest.bulk.dealt"] == len(shard)
+        rewritten = {
+            worker for worker, names in batches for name in names if name in shard
+        }
+        assert rewritten == {0, 1}
+        assert verdicts(report) == verdicts(
+            validate_files(PURCHASE_ORDER_SCHEMA, paths, jobs=1)
+        )
+
+
+class TestHotVerdicts:
+    def test_one_entry_per_path(self):
+        class Store:
+            def __init__(self):
+                self.verdicts = {}
+
+            def get(self, path, key):
+                return self.verdicts.get(key)
+
+            def put(self, path, key, verdict):
+                self.verdicts[key] = verdict
+
+        store = Store()
+        hot = _HotVerdicts(store)
+        for revision in range(10):
+            key = f"revision-{revision}"
+            assert hot.get("/corpus/a.xml", key) is None
+            hot.put("/corpus/a.xml", key, {"valid": revision % 2 == 0})
+            assert hot.get("/corpus/a.xml", key) == {"valid": revision % 2 == 0}
+        assert len(hot._memo) == 1
+        # An older revision still answers, through the persistent store.
+        assert hot.get("/corpus/a.xml", "revision-3") == {"valid": False}
+        assert len(hot._memo) == 1
 
 
 class TestCrashRecovery:

@@ -7,7 +7,10 @@ all answer through it, so a document's verdict cannot depend on how it
 was submitted.  The records and the CLI output carry the walker's own
 errors.  The DOM ``SchemaValidator`` stays an independent oracle for
 the valid/invalid bit; it is recursive, so the 3,000-deep page is left
-out of that comparison.
+out of that comparison.  Typed ingest (``parse_typed``) gives the same
+bit, or refuses with ``UnsupportedFeatureError`` what its typed tree
+cannot hold: namespaced schemas, ``xsi:type`` and the content of
+``xs:anyType`` elements.
 """
 
 import contextlib
@@ -16,9 +19,10 @@ import io
 import pytest
 
 from repro.cli import main
+from repro.core import bind
 from repro.dom import parse_document
-from repro.errors import XmlSyntaxError
-from repro.ingest import validate_files
+from repro.errors import ReproError, UnsupportedFeatureError, XmlSyntaxError
+from repro.ingest import parse_typed, validate_files
 from repro.schemas import (
     PURCHASE_ORDER_DOCUMENT,
     PURCHASE_ORDER_SCHEMA,
@@ -108,6 +112,9 @@ CASES = {
 #: too deep for the recursive DOM walk
 NO_DOM_ORACLE = {"xhtml-deep"}
 
+#: valid documents whose typed tree typed ingest cannot build
+TYPED_REFUSALS = {"xsi-type-us-address", "any-type-children"}
+
 
 def _walker(schema, text):
     """The walker's errors, or ``[syntax error]``."""
@@ -115,6 +122,17 @@ def _walker(schema, text):
         return StreamingValidator(schema).validate_text(text)
     except XmlSyntaxError as error:
         return [error]
+
+
+def _typed(binding, text):
+    """``parse_typed``'s answer: valid?, or ``"refused"``."""
+    try:
+        parse_typed(binding, text)
+    except UnsupportedFeatureError:
+        return "refused"
+    except ReproError:
+        return False
+    return True
 
 
 def _dom_valid(schema, text):
@@ -149,6 +167,7 @@ def answers(tmp_path_factory):
         companion = directory / "companion.xml"
         companion.write_text(companion_text, encoding="utf-8")
         schema = parse_schema(schema_text)
+        binding = bind(schema_text)
         names = [name for name, case in CASES.items() if case[0] == schema_name]
         paths = []
         for name in names:
@@ -174,6 +193,7 @@ def answers(tmp_path_factory):
                 "dom": (
                     None if name in NO_DOM_ORACLE else _dom_valid(schema, text)
                 ),
+                "typed": _typed(binding, text),
                 "path": path,
             }
     return results
@@ -213,3 +233,12 @@ def test_messages_are_the_walkers(answers, name):
             *(str(error) for error in errors),
             f"{len(errors)} error(s)",
         ]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_typed_ingest_agrees_or_refuses(answers, name):
+    schema_name, _text, expected = CASES[name]
+    if schema_name == "ns" or name in TYPED_REFUSALS:
+        assert answers[name]["typed"] == "refused"
+    else:
+        assert answers[name]["typed"] is expected

@@ -4,7 +4,10 @@ The chain must give exactly what the interpreted walk over the facet set
 gives (``tests/oracles/simple_walk.py``): the same value, or the same
 error with the same message.  Hypothesis holds the two together over
 every built-in type and over generated restrictions with patterns,
-ranges, digits, lengths, enumerations, lists and unions.
+ranges, digits, lengths, enumerations, lists and unions.  The
+check-only entry point, ``SimpleType.check``, accepts exactly what
+``parse`` accepts, before and after its accepted-literal memo holds the
+literal.
 """
 
 import pickle
@@ -12,8 +15,10 @@ import pickle
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.errors import SchemaError
+from repro.errors import SchemaError, SimpleTypeError
 from repro.xsd.simple import (
+    ACCEPTED_LITERAL_LENGTH,
+    ACCEPTED_LITERALS,
     BUILTIN_TYPES,
     builtin_type,
     list_of,
@@ -40,12 +45,25 @@ def outcome(parse, simple_type, raw):
     return ("value", type(value).__name__, repr(value))
 
 
+def checked(simple_type, raw):
+    """``None``, or the error ``SimpleType.check`` raises."""
+    try:
+        simple_type.check(raw)
+    except SimpleTypeError as error:
+        return ("error", type(error).__name__, str(error))
+    return None
+
+
 def assert_parity(simple_type, raw):
     expected = outcome(interpreted_parse, simple_type, raw)
     assert outcome(compiled_parse, simple_type, raw) == expected, (
         simple_type,
         raw,
     )
+    # Twice: the second answer may come from the accepted-literal memo.
+    verdict = None if expected[0] == "value" else expected
+    assert checked(simple_type, raw) == verdict, (simple_type, raw)
+    assert checked(simple_type, raw) == verdict, (simple_type, raw)
 
 
 # -- literals --------------------------------------------------------------------
@@ -246,3 +264,46 @@ class TestOneChainPerType:
         assert "_chain" not in vars(clone)
         assert clone.parse(" 42 ") == "42"
         assert "_chain" in vars(clone)
+
+
+class TestAcceptedLiterals:
+    def test_acceptance_is_remembered_and_rejection_is_not(self):
+        simple_type = restrict(
+            builtin_type("positiveInteger"), None, max_exclusive="100"
+        )
+        simple_type.check("5")
+        assert simple_type.accepted == {"5"}
+        for _ in range(2):
+            with pytest.raises(SimpleTypeError, match="not below maxExclusive"):
+                simple_type.check("100")
+        assert simple_type.accepted == {"5"}
+
+    def test_the_memo_is_bounded(self):
+        simple_type = restrict(builtin_type("token"), None, patterns=(r"\d+",))
+        for number in range(10_000):
+            simple_type.check(str(number))
+        assert len(simple_type.accepted) == ACCEPTED_LITERALS
+        assert "9999" not in simple_type.accepted
+        simple_type.check("9999")  # past the cap: checked, still valid
+        long = "7" * (ACCEPTED_LITERAL_LENGTH + 1)
+        fresh = restrict(builtin_type("token"), None, patterns=(r"\d+",))
+        fresh.check(long)
+        assert fresh.accepted == set()
+
+    def test_only_the_identity_chain_accepts_everything(self):
+        assert builtin_type("string").accepts_everything()
+        assert not builtin_type("token").accepts_everything()
+        assert not restrict(builtin_type("string"), None, max_length=3).accepts_everything()
+
+    def test_the_memo_is_never_pickled(self):
+        def code():
+            return restrict(builtin_type("token"), "Code", patterns=(r"\d+",))
+
+        used = code()
+        used.check("42")
+        assert "accepted" not in used.__getstate__()
+        assert pickle.dumps(used) == pickle.dumps(code())
+        clone = pickle.loads(pickle.dumps(used))
+        assert clone.accepted == set()
+        clone.check("43")
+        assert clone.accepted == {"43"}

@@ -105,3 +105,41 @@ class TestStreamingSpecifics:
             "<zip>90952</zip>", "<zip>909&#53;2</zip>", 1
         )
         assert stream_validator.validate_text(text) == []
+
+
+#: content errors found at an end tag: a model that ends too early, a
+#: facet, a fixed value
+END_TAG_SCHEMA = """
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="r">
+    <xsd:complexType>
+      <xsd:sequence>
+        <xsd:element name="a">
+          <xsd:complexType>
+            <xsd:sequence><xsd:element name="c" type="xsd:string"/></xsd:sequence>
+          </xsd:complexType>
+        </xsd:element>
+        <xsd:element name="b" type="xsd:positiveInteger"/>
+        <xsd:element name="f" type="xsd:string" fixed="x"/>
+      </xsd:sequence>
+    </xsd:complexType>
+  </xsd:element>
+</xsd:schema>
+"""
+
+END_TAG_DOCUMENT = "<r>\n  <a/>\n  <b>0</b>\n  <f>y</f>\n</r>\n"
+
+
+class TestEndTagErrorsArePositioned:
+    @pytest.mark.parametrize("use_tables", [True, False])
+    def test_errors_point_at_the_end_tag(self, use_tables):
+        """``<a/>`` is located at its own ``<``, ``</b>`` and ``</f>`` at
+        theirs — on the turbo scanner and on the event feeder alike."""
+        validator = StreamingValidator(
+            parse_schema(END_TAG_SCHEMA), use_tables=use_tables
+        )
+        assert [str(error) for error in validator.validate_text(END_TAG_DOCUMENT)] == [
+            "2:3: content of <a> ends too early; expected <c> (at /r/a)",
+            "3:7: content of <b>: '0' is below minInclusive 1 (at /r/b)",
+            "4:7: element 'f' must have the fixed value 'x' (at /r/f)",
+        ]
