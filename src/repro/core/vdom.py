@@ -29,6 +29,7 @@ import decimal
 import functools
 import keyword
 import re
+import weakref
 from typing import Any
 
 from repro.errors import (
@@ -234,7 +235,7 @@ class TypedElement(Element):
                 f"<{self.tag_name}> has a simple type and may not contain "
                 "child elements"
             )
-        if len(self.attributes):
+        if self._attrs:
             raise VdomTypeError(
                 f"<{self.tag_name}> has a simple type and may not carry "
                 "attributes"
@@ -317,7 +318,8 @@ class TypedElement(Element):
 
     def _check_attributes(self, complex_type: ComplexType) -> None:
         uses = complex_type.effective_attribute_uses()
-        for name, value in self.attributes.items():
+        for name, attr in self._attrs.items():
+            value = attr.value
             use = uses.get(name)
             if use is None:
                 raise VdomTypeError(
@@ -350,18 +352,21 @@ class TypedElement(Element):
         Element._insert(self, node, index)
 
     def _release_from_old_parent(self, child: "TypedElement") -> None:
-        old_parent = child.parent_node
+        # A parent nobody holds any more is gone: the child is detached,
+        # and no reachable tree can be invalidated by taking it.
+        parent_ref = child._parent_ref
+        old_parent = parent_ref() if parent_ref is not None else None
         if not isinstance(old_parent, TypedElement) or old_parent is self:
             return
         position = old_parent._children.index(child)
-        old_parent._children.remove(child)
-        child._parent = None
+        del old_parent._children[position]
+        child._parent_ref = None
         try:
             if type(old_parent)._BINDING.validate_on_mutate:
                 old_parent.check_valid()
         except VdomTypeError:
             old_parent._children.insert(position, child)
-            child._parent = old_parent
+            child._parent_ref = parent_ref
             raise VdomTypeError(
                 f"moving <{child.tag_name}> out of <{old_parent.tag_name}> "
                 "would invalidate it; replace it there explicitly first"
@@ -432,8 +437,9 @@ class TypedElement(Element):
         """Run a mutation, re-validate, roll back on failure."""
         self._content_state = None  # any slow-path mutation invalidates
         children_snapshot = list(self._children)
-        parents_snapshot = [child._parent for child in children_snapshot]
-        attrs_snapshot = dict(self.attributes._attrs)
+        parents_snapshot = [child._parent_ref for child in children_snapshot]
+        attrs = self._attrs
+        attrs_snapshot = dict(attrs)
         values_snapshot = {
             name: attr.value for name, attr in attrs_snapshot.items()
         }
@@ -443,12 +449,14 @@ class TypedElement(Element):
             return result
         except VdomTypeError:
             self._children[:] = children_snapshot
-            for child, parent in zip(children_snapshot, parents_snapshot):
-                child._parent = parent
-            self.attributes._attrs.clear()
-            self.attributes._attrs.update(attrs_snapshot)
+            for child, parent_ref in zip(children_snapshot, parents_snapshot):
+                child._parent_ref = parent_ref
+            attrs.clear()
+            attrs.update(attrs_snapshot)
+            owner_ref = weakref.ref(self)
             for name, attr in attrs_snapshot.items():
                 attr.value = values_snapshot[name]
+                attr._owner_ref = owner_ref
             raise
 
     def append_child(self, node: Node) -> Node:

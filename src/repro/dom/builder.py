@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 from repro.errors import XmlSyntaxError
 from repro.xml.events import (
     Characters,
@@ -13,6 +15,7 @@ from repro.xml.events import (
     XmlDeclaration,
 )
 from repro.xml.parser import PullParser
+from repro.dom.attr import trusted_attr
 from repro.dom.document import Document, DocumentType
 from repro.dom.node import Node
 
@@ -31,7 +34,9 @@ def parse_document(
     Events are consumed lazily, one at a time, straight off the pull
     parser — no event list is ever materialized.  Attribute names come
     from the parser's Name production (the same check ``Attr`` runs), so
-    they are installed through the trusted fast path.
+    they are installed through the trusted fast path.  Every inserted
+    node is childless, so no insertion walks the ancestors: the build is
+    linear in the document's depth.
     """
     document = Document()
     open_nodes: list[Node] = [document]
@@ -39,9 +44,11 @@ def parse_document(
         current = open_nodes[-1]
         if isinstance(event, StartElement):
             element = document.create_element(event.name)
-            attributes = element.attributes
-            for name, value in event.attributes:
-                attributes._install(name, value)
+            if event.attributes:
+                attrs = element._attrs
+                owner_ref = weakref.ref(element)
+                for name, value in event.attributes:
+                    attrs[name] = trusted_attr(name, value, owner_ref)
             current.append_child(element)
             open_nodes.append(element)
         elif isinstance(event, EndElement):

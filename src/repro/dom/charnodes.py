@@ -72,8 +72,9 @@ class Text(CharacterData):
         self._check_offset(offset)
         tail = type(self)(self.data[offset:], self._owner_document)
         self.data = self.data[:offset]
-        if self._parent is not None:
-            self._parent.insert_before(tail, self.next_sibling)
+        parent = self.parent_node
+        if parent is not None:
+            parent.insert_before(tail, self.next_sibling)
         return tail
 
     def _clone_shallow(self) -> Text:

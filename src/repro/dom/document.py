@@ -186,7 +186,7 @@ class Document(Node):
     def _reown(self, node: Node) -> None:
         node._owner_document = self
         if isinstance(node, Element):
-            for attr in node.attributes:
+            for attr in node._attrs.values():
                 attr._owner_document = self
         for child in node._children:
             self._reown(child)

@@ -15,14 +15,19 @@ from typing import TYPE_CHECKING
 from repro.errors import XmlError
 from repro.xml.chars import is_name
 from repro.dom.attr import Attr, NamedNodeMap
-from repro.dom.node import Node, NodeType
+from repro.dom.node import Node, NodeType, relink
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dom.document import Document
 
 
 class Element(Node):
-    """An XML element with attributes and mixed content."""
+    """An XML element with attributes and mixed content.
+
+    The element owns its name→:class:`Attr` dict (``_attrs``);
+    :attr:`attributes` returns a :class:`NamedNodeMap` view built on
+    access, as :attr:`child_nodes` does for the children.
+    """
 
     _allowed_children = frozenset(
         {
@@ -39,7 +44,7 @@ class Element(Node):
             raise XmlError(f"'{tag_name}' is not a legal element name")
         super().__init__(owner_document)
         self._tag_name = tag_name
-        self._attributes = NamedNodeMap(self)
+        self._attrs: dict[str, Attr] = {}
 
     @property
     def node_type(self) -> NodeType:
@@ -55,38 +60,38 @@ class Element(Node):
 
     @property
     def attributes(self) -> NamedNodeMap:
-        return self._attributes
+        return NamedNodeMap(self)
 
     # -- attribute convenience API (DOM Level 1) -----------------------------
 
     def get_attribute(self, name: str) -> str:
         """Return the value of *name*, or '' when absent (per DOM L1)."""
-        attr = self._attributes.get_named_item(name)
+        attr = self._attrs.get(name)
         return attr.value if attr is not None else ""
 
     def has_attribute(self, name: str) -> bool:
-        return name in self._attributes
+        return name in self._attrs
 
     def set_attribute(self, name: str, value: str) -> None:
-        attr = self._attributes.get_named_item(name)
+        attr = self._attrs.get(name)
         if attr is not None:
             attr.value = str(value)
             return
-        self._attributes.set_named_item(Attr(name, value, self._owner_document))
+        NamedNodeMap(self).set_named_item(Attr(name, value, self._owner_document))
 
     def remove_attribute(self, name: str) -> None:
         """Remove *name* if present (silently ignores absence, per DOM)."""
-        if name in self._attributes:
-            self._attributes.remove_named_item(name)
+        if name in self._attrs:
+            NamedNodeMap(self).remove_named_item(name)
 
     def get_attribute_node(self, name: str) -> Attr | None:
-        return self._attributes.get_named_item(name)
+        return self._attrs.get(name)
 
     def set_attribute_node(self, attr: Attr) -> Attr | None:
-        return self._attributes.set_named_item(attr)
+        return NamedNodeMap(self).set_named_item(attr)
 
     def remove_attribute_node(self, attr: Attr) -> Attr:
-        return self._attributes.remove_named_item(attr.name)
+        return NamedNodeMap(self).remove_named_item(attr.name)
 
     # -- element queries --------------------------------------------------------
 
@@ -109,9 +114,13 @@ class Element(Node):
 
     def _clone_shallow(self) -> Element:
         clone = Element(self._tag_name, self._owner_document)
-        for name, value in self._attributes.items():
-            clone.set_attribute(name, value)
+        for name, attr in self._attrs.items():
+            clone.set_attribute(name, attr.value)
         return clone
 
+    def __setstate__(self, state: dict) -> None:
+        super().__setstate__(state)
+        relink(self._attrs.values(), "_owner_ref", self)
+
     def __repr__(self) -> str:
-        return f"<Element <{self._tag_name}> attrs={len(self._attributes)}>"
+        return f"<Element <{self._tag_name}> attrs={len(self._attrs)}>"

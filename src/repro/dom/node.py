@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator
+import weakref
+from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
 from repro.errors import DomError, HierarchyRequestError
@@ -56,15 +57,28 @@ class NodeList:
 
 
 class Node:
-    """Common behaviour of every tree node: children, siblings, mutation."""
+    """Common behaviour of every tree node: children, siblings, mutation.
 
-    #: Node types acceptable as children; leaf classes leave this empty.
+    A tree is owned from the top: the links that point down (a node's
+    children, an element's attributes) are strong, the links that point
+    up (``_parent_ref``, an attribute's ``_owner_ref``) are weak
+    references (:func:`weakref.ref`).  A tree without an owner document is
+    therefore no reference cycle, and reference counting frees it as
+    soon as its last outside reference goes.  Nodes keep their
+    ``_owner_document`` strongly, so a generic document and its nodes
+    stay one cycle, alive while any of its nodes is.
+    """
+
+    #: Node types acceptable as children; leaf classes leave this empty
+    #: and share an immutable ``()`` as their child list.
     _allowed_children: frozenset[NodeType] = frozenset()
 
     def __init__(self, owner_document: Document | None):
         self._owner_document = owner_document
-        self._parent: Node | None = None
-        self._children: list[Node] = []
+        self._parent_ref: weakref.ref[Node] | None = None
+        self._children: list[Node] | tuple[()] = (
+            [] if self._allowed_children else ()
+        )
 
     # -- identification ------------------------------------------------------
 
@@ -88,7 +102,8 @@ class Node:
 
     @property
     def parent_node(self) -> Node | None:
-        return self._parent
+        ref = self._parent_ref
+        return ref() if ref is not None else None
 
     @property
     def child_nodes(self) -> NodeList:
@@ -104,16 +119,19 @@ class Node:
 
     @property
     def previous_sibling(self) -> Node | None:
-        if self._parent is None:
+        parent = self.parent_node
+        if parent is None:
             return None
-        index = self._parent._children.index(self)
-        return self._parent._children[index - 1] if index > 0 else None
+        siblings = parent._children
+        index = siblings.index(self)
+        return siblings[index - 1] if index > 0 else None
 
     @property
     def next_sibling(self) -> Node | None:
-        if self._parent is None:
+        parent = self.parent_node
+        if parent is None:
             return None
-        siblings = self._parent._children
+        siblings = parent._children
         index = siblings.index(self)
         return siblings[index + 1] if index + 1 < len(siblings) else None
 
@@ -129,10 +147,13 @@ class Node:
             stack.extend(reversed(node._children))
 
     def ancestors(self) -> Iterator[Node]:
-        node = self._parent
-        while node is not None:
+        ref = self._parent_ref
+        while ref is not None:
+            node = ref()
+            if node is None:
+                return
             yield node
-            node = node._parent
+            ref = node._parent_ref
 
     # -- text ------------------------------------------------------------------
 
@@ -157,7 +178,12 @@ class Node:
                 f"a {node.node_type.name} node may not be a child of "
                 f"a {self.node_type.name} node"
             )
-        if node is self or node in set(self.ancestors()) or self is node:
+        # A childless node contains no ancestor of this one, so only a
+        # node with children costs a walk: building a tree top-down, as
+        # the parser does, stays linear in its depth.
+        if node is self or (
+            node._children and any(above is node for above in self.ancestors())
+        ):
             raise HierarchyRequestError("a node may not contain itself")
         if (
             node._owner_document is not None
@@ -168,9 +194,12 @@ class Node:
             raise DomError("node belongs to a different document")
 
     def _adopt(self, node: Node) -> None:
-        if node._parent is not None:
-            node._parent._children.remove(node)
-        node._parent = self
+        ref = node._parent_ref
+        if ref is not None:
+            old_parent = ref()
+            if old_parent is not None:
+                old_parent._children.remove(node)
+        node._parent_ref = weakref.ref(self)
 
     def _insert(self, node: Node, index: int) -> None:
         from repro.dom.document import DocumentFragment
@@ -204,10 +233,11 @@ class Node:
     def remove_child(self, node: Node) -> Node:
         """Detach *node*; return it."""
         try:
-            self._children.remove(node)
+            index = self._children.index(node)
         except ValueError:
             raise DomError("node to remove is not a child of this node")
-        node._parent = None
+        del self._children[index]
+        node._parent_ref = None
         return node
 
     def replace_child(self, new: Node, old: Node) -> Node:
@@ -221,8 +251,8 @@ class Node:
             index = self._children.index(old)
         except ValueError:
             raise DomError("node to replace is not a child of this node")
-        self._children.remove(old)
-        old._parent = None
+        del self._children[index]
+        old._parent_ref = None
         self._insert(new, index)
         return old
 
@@ -230,6 +260,8 @@ class Node:
         """Merge adjacent text nodes and drop empty ones, recursively."""
         from repro.dom.charnodes import Text
 
+        if not self._children:  # a leaf's shared () is immutable
+            return
         merged: list[Node] = []
         for child in list(self._children):
             if (
@@ -238,9 +270,9 @@ class Node:
                 and type(merged[-1]) is Text
             ):
                 merged[-1].data += child.data  # type: ignore[attr-defined]
-                child._parent = None
+                child._parent_ref = None
             elif type(child) is Text and not child.data:  # type: ignore[attr-defined]
-                child._parent = None
+                child._parent_ref = None
             else:
                 merged.append(child)
                 child.normalize()
@@ -259,5 +291,34 @@ class Node:
     def _clone_shallow(self) -> Node:
         raise NotImplementedError
 
+    # -- pickle and copy ------------------------------------------------------------
+
+    def __getstate__(self) -> dict:
+        """The instance dict minus the weak upward links: a weakref does
+        not pickle, and a deep copy would share it with the original."""
+        state = self.__dict__.copy()
+        state.pop("_parent_ref", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # A node reached through its owner document is restored after
+        # its parent, which has already linked it: keep that link.
+        self.__dict__.setdefault("_parent_ref", None)
+        self.__dict__.update(state)
+        relink(self._children, "_parent_ref", self)
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.node_name!r}>"
+
+
+def relink(nodes: Iterable[Node], link: str, owner: Node) -> None:
+    """Point the weak *link* of each of *nodes* that has none at *owner*.
+
+    Restoring a pickle or a deep copy gives each copied node no link
+    (:meth:`Node.__getstate__` drops them), so its restored owner links
+    it here.  A shallow copy shares its original's nodes, whose links to
+    the original stay.
+    """
+    for node in nodes:
+        if node.__dict__.get(link) is None:
+            setattr(node, link, weakref.ref(owner))

@@ -73,7 +73,7 @@ def write_node(node: Node, pieces: list[str]) -> None:
         if isinstance(current, Element):
             open_prefix, end_tag = _tag_parts(current)
             append(open_prefix)
-            for name, attr in current.attributes._attrs.items():
+            for name, attr in current._attrs.items():
                 append(f' {name}="{escape_attribute(attr.value)}"')
             children = current._children
             if children:

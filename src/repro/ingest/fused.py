@@ -36,8 +36,10 @@ valid and invalid alike.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.errors import SimpleTypeError, UnsupportedFeatureError, VdomTypeError
-from repro.dom.attr import NamedNodeMap
+from repro.dom.attr import trusted_attr
 from repro.dom.builder import parse_document
 from repro.dom.charnodes import Text
 from repro.core.vdom import Binding, TypedElement, any_type_refusal, refuse_xsi_type
@@ -341,6 +343,10 @@ def _construct(binding: Binding, frame: _Frame, use_tables: bool) -> TypedElemen
     type accepted before (or any value of a type accepting everything)
     is not checked again, without a call; the reference route checks
     every value.
+
+    The element's one ``weakref.ref`` is the upward link of all its
+    children, text nodes and attributes, so the finished tree is no
+    reference cycle.
     """
     cls = frame.cls
     (
@@ -359,10 +365,10 @@ def _construct(binding: Binding, frame: _Frame, use_tables: bool) -> TypedElemen
         raise VdomTypeError(abstract_error)
     element = cls.__new__(cls)
     element._owner_document = None
-    element._parent = None
+    element._parent_ref = None
     element._tag_name = tag
-    attribute_map = NamedNodeMap(element)
-    element._attributes = attribute_map
+    attrs = element._attrs = {}
+    ref = weakref.ref(element)
 
     nodes = []
     has_text = False
@@ -371,17 +377,17 @@ def _construct(binding: Binding, frame: _Frame, use_tables: bool) -> TypedElemen
         for child in frame.children:
             if child.__class__ is str:
                 node = Text(child, None)
-                node._parent = element
+                node._parent_ref = ref
                 nodes.append(node)
                 has_text = True
             else:
-                child._parent = element
+                child._parent_ref = ref
                 nodes.append(child)
     else:
         data = "".join(frame.text_parts)
         if data:
             node = Text(data, None)
-            node._parent = element
+            node._parent_ref = ref
             nodes.append(node)
     element._children = nodes
 
@@ -392,9 +398,8 @@ def _construct(binding: Binding, frame: _Frame, use_tables: bool) -> TypedElemen
     # accepted spelling (python name, XML name) to the install key with
     # ``_attribute_field``'s precedence, ``defaults`` lists the
     # fixed/defaulted keys in field order.
-    attrs = attribute_map._attrs
     for key, literal in defaults:
-        attribute_map._install(key, literal)
+        attrs[key] = trusted_attr(key, literal, ref)
     for name, value in frame.attributes:
         if name.startswith("xmlns"):
             continue
@@ -407,7 +412,7 @@ def _construct(binding: Binding, frame: _Frame, use_tables: bool) -> TypedElemen
         if existing is not None:
             existing.value = value
         else:
-            attribute_map._install(key, value)
+            attrs[key] = trusted_attr(key, value, ref)
 
     if binding.validate_on_mutate:
         if is_simple:

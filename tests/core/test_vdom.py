@@ -202,6 +202,15 @@ class TestMutation:
         with pytest.raises(VdomTypeError):
             full_po.remove_child(ship_to)
         assert full_po.ship_to is ship_to
+        assert ship_to.parent_node is full_po
+
+    def test_refused_attribute_removal_keeps_its_owner(self, full_po):
+        item = full_po.items.item_list[0]
+        attr = item.get_attribute_node("partNum")
+        with pytest.raises(VdomTypeError, match="required attribute 'partNum'"):
+            item.remove_attribute("partNum")
+        assert item.get_attribute_node("partNum") is attr
+        assert attr.owner_element is item
 
     def test_remove_optional_child_succeeds(self, full_po):
         comment = full_po.comment

@@ -87,6 +87,59 @@ class TestAttrNodes:
         ]
 
 
+class TestAttributesView:
+    """``attributes`` is a view built on each access over the element's
+    own attributes: everything but its identity behaves as a stored map."""
+
+    def test_each_access_is_a_fresh_view(self, doc):
+        element = doc.create_element("a")
+        assert element.attributes is not element.attributes
+
+    def test_view_reads_the_element_live(self, doc):
+        element = doc.create_element("a")
+        view = element.attributes
+        element.set_attribute("x", "1")
+        element.set_attribute("y", "2")
+        assert len(view) == 2
+        assert view.names() == ["x", "y"]
+        assert view.items() == [("x", "1"), ("y", "2")]
+        assert "x" in view and "z" not in view
+        assert [attr.name for attr in view] == ["x", "y"]
+        assert view.item(1).value == "2" and view.item(2) is None
+        assert view.get_named_item("x").owner_element is element
+
+    def test_set_named_item_through_a_view(self, doc):
+        element = doc.create_element("a")
+        first = doc.create_attribute("x", "1")
+        second = doc.create_attribute("x", "2")
+        assert element.attributes.set_named_item(first) is None
+        assert first.owner_element is element
+        assert element.attributes.set_named_item(second) is first
+        assert first.owner_element is None
+        assert second.owner_element is element
+        assert element.get_attribute("x") == "2"
+        with pytest.raises(DomError, match="already in use by another element"):
+            doc.create_element("b").attributes.set_named_item(second)
+
+    def test_remove_named_item_through_a_view(self, doc):
+        element = doc.create_element("a")
+        element.set_attribute("x", "1")
+        attr = element.get_attribute_node("x")
+        assert element.attributes.remove_named_item("x") is attr
+        assert attr.owner_element is None
+        assert len(element.attributes) == 0
+        with pytest.raises(DomError, match="no attribute named 'x'"):
+            element.attributes.remove_named_item("x")
+
+    def test_removed_attribute_may_move(self, doc):
+        a, b = doc.create_element("a"), doc.create_element("b")
+        a.set_attribute("x", "1")
+        attr = a.remove_attribute_node(a.get_attribute_node("x"))
+        b.set_attribute_node(attr)
+        assert attr.owner_element is b
+        assert b.attributes.items() == [("x", "1")] and len(a.attributes) == 0
+
+
 class TestElementQueries:
     def test_get_elements_by_tag_name(self, doc):
         root = doc.create_element("root")

@@ -1,9 +1,12 @@
 """DOM tree structure and mutation semantics."""
 
+import gc
+import time
+
 import pytest
 
 from repro.errors import DomError, HierarchyRequestError
-from repro.dom import Document, NodeType
+from repro.dom import Document, DocumentType, Node, NodeType, parse_document
 
 
 @pytest.fixture
@@ -115,6 +118,16 @@ class TestHierarchyRules:
         with pytest.raises(HierarchyRequestError):
             b.append_child(a)
 
+    def test_no_distant_ancestor_cycle(self, doc):
+        chain = [doc.create_element(f"e{n}") for n in range(5)]
+        for parent, child in zip(chain, chain[1:]):
+            parent.append_child(child)
+        with pytest.raises(HierarchyRequestError, match="may not contain itself"):
+            chain[-1].append_child(chain[0])
+        with pytest.raises(HierarchyRequestError, match="may not contain itself"):
+            chain[-1].insert_before(chain[1], None)
+        assert [e.parent_node for e in chain[1:]] == chain[:-1]
+
     def test_cross_document_insert_rejected(self, doc):
         other = Document()
         foreign = other.create_element("f")
@@ -187,3 +200,104 @@ class TestCloneAndNormalize:
         root.append_child(a)
         root.append_child(doc.create_text_node("y"))
         assert root.text_content == "xy"
+
+
+#: One factory per leaf class: the classes whose nodes take no children.
+LEAVES = {
+    "Text": lambda doc: doc.create_text_node("t"),
+    "CDATASection": lambda doc: doc.create_cdata_section("c"),
+    "Comment": lambda doc: doc.create_comment("c"),
+    "ProcessingInstructionNode": lambda doc: doc.create_processing_instruction("pi", "d"),
+    "DocumentType": lambda doc: DocumentType("root", owner_document=doc),
+    "Attr": lambda doc: doc.create_attribute("a", "v"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LEAVES))
+class TestLeafMutations:
+    """Every child mutation of a leaf node fails as it always has."""
+
+    def _refused(self, error, message, action):
+        with pytest.raises(error) as raised:
+            action()
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+    def test_append_and_insert_refused(self, doc, kind):
+        leaf = LEAVES[kind](doc)
+        message = (
+            f"a ELEMENT node may not be a child of a {leaf.node_type.name} node"
+        )
+        element = doc.create_element("e")
+        self._refused(HierarchyRequestError, message, lambda: leaf.append_child(element))
+        self._refused(
+            HierarchyRequestError, message, lambda: leaf.insert_before(element, None)
+        )
+        fragment = doc.create_document_fragment()
+        fragment.append_child(doc.create_element("f"))
+        self._refused(HierarchyRequestError, message, lambda: leaf.append_child(fragment))
+        assert not leaf.has_child_nodes() and element.parent_node is None
+
+    def test_reference_and_removal_refused(self, doc, kind):
+        leaf = LEAVES[kind](doc)
+        stranger = doc.create_element("s")
+        element = doc.create_element("e")
+        self._refused(
+            DomError,
+            "reference node is not a child of this node",
+            lambda: leaf.insert_before(element, stranger),
+        )
+        self._refused(
+            DomError,
+            "node to remove is not a child of this node",
+            lambda: leaf.remove_child(stranger),
+        )
+        self._refused(
+            DomError,
+            "node to replace is not a child of this node",
+            lambda: leaf.replace_child(element, stranger),
+        )
+
+    def test_harmless_mutations_succeed(self, doc, kind):
+        leaf = LEAVES[kind](doc)
+        empty = doc.create_document_fragment()
+        assert leaf.append_child(empty) is empty
+        assert leaf.normalize() is None
+        assert leaf.clone_node(deep=True).node_name == leaf.node_name
+        assert len(leaf.child_nodes) == 0 and leaf.first_child is None
+
+
+class TestLinearBuild:
+    """``parse_document`` inserts only childless nodes, so no insertion
+    walks the ancestors and the build is linear in depth."""
+
+    def test_hundred_thousand_levels(self):
+        depth = 100_000
+        started = time.perf_counter()
+        document = parse_document("<a>" * depth + "</a>" * depth)
+        elapsed = time.perf_counter() - started
+        # A walk per insertion would take minutes at this depth.
+        assert elapsed < 30.0, f"{elapsed:.1f} s for {depth} levels"
+        node, levels = document.document_element, 1
+        while node.first_child is not None:
+            node, levels = node.first_child, levels + 1
+        assert levels == depth
+        assert node.parent_node.parent_node.tag_name == "a"
+        del document, node
+        gc.collect()
+
+    def test_builder_never_walks_the_ancestors(self, monkeypatch):
+        walks = []
+        ancestors = Node.ancestors
+
+        def spy(self):
+            walks.append(self)
+            return ancestors(self)
+
+        monkeypatch.setattr(Node, "ancestors", spy)
+        document = parse_document(
+            '<?xml version="1.0"?><!DOCTYPE r []><!--c--><r a="1"><?p d?>'
+            "<s><t>text<![CDATA[cdata]]></t><!--c--></s><u/></r>"
+        )
+        assert document.document_element.tag_name == "r"
+        assert walks == []
