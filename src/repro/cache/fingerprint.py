@@ -28,7 +28,11 @@ from typing import Any
 #: ``subset_roots`` (lazy per-subset binding artifacts).
 #: 6: a template's generated ``text_source`` takes its hole values as one
 #: mapping, ``render_text(values)``, instead of one keyword per hole.
-CACHE_FORMAT_VERSION = 6
+#: 7: every run of a generated ``text_source`` calls its checker: text
+#: holes with no simple type (mixed or ``anyType`` content) are checked
+#: for characters outside XML's ``Char``, so a format-6 source, which
+#: wrote them unchecked, must not be replayed.
+CACHE_FORMAT_VERSION = 7
 
 
 def _library_version() -> str:

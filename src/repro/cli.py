@@ -266,21 +266,24 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         default=True,
         help="cache rendered responses keyed on typed hole values, "
-        "with ETag/If-None-Match 304 revalidation (default)",
+        "with ETag/If-None-Match 304 revalidation, and POST /-/validate "
+        "verdicts keyed on the body's digest (default)",
     )
     response_cache.add_argument(
         "--no-cache",
         dest="response_cache",
         action="store_false",
-        help="render every response (disables only the response cache; "
-        "the top-level --no-cache controls the compilation cache)",
+        help="render and validate every request (disables only the "
+        "response and verdict caches; the top-level --no-cache controls "
+        "the compilation cache)",
     )
     serve_command.add_argument(
         "--cache-entries",
         type=int,
         default=512,
         metavar="N",
-        help="response-cache capacity in entries (default: %(default)s)",
+        help="capacity of the response cache and of the verdict cache, "
+        "in entries each (default: %(default)s)",
     )
     serve_command.add_argument(
         "--stream",

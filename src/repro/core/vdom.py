@@ -38,11 +38,12 @@ from repro.errors import (
     VdomStateError,
     VdomTypeError,
 )
+from repro.dom.attr import Attr, NamedNodeMap
 from repro.dom.charnodes import Text
 from repro.dom.document import Document
 from repro.dom.element import Element
 from repro.dom.node import Node
-from repro.xml.chars import WHITESPACE
+from repro.xml.chars import ILLEGAL_CHAR, WHITESPACE, illegal_char
 from repro.xsd.components import (
     ANY_TYPE,
     ComplexType,
@@ -161,6 +162,17 @@ class TypedElement(Element):
                 self._append_value(item)
             return
         literal = self._lexicalize(child)
+        if ILLEGAL_CHAR.search(literal) is not None:
+            type_definition = type(self)._TYPE
+            if type_definition is ANY_TYPE or (
+                isinstance(type_definition, ComplexType)
+                and type_definition.content_type is ContentType.MIXED
+            ):
+                # Free text: no simple type checks it, but a character
+                # outside ``Char`` would still make the tree ill-formed.
+                raise VdomTypeError(
+                    f"content of <{self.tag_name}>: {illegal_char(literal)}"
+                )
         Element.append_child(self, Text(literal, None))
 
     def _lexicalize(self, value: Any) -> str:
@@ -451,6 +463,9 @@ class TypedElement(Element):
             self._children[:] = children_snapshot
             for child, parent_ref in zip(children_snapshot, parents_snapshot):
                 child._parent_ref = parent_ref
+            for name, attr in attrs.items():
+                if attrs_snapshot.get(name) is not attr:
+                    attr._owner_ref = None  # a refused new attribute node
             attrs.clear()
             attrs.update(attrs_snapshot)
             owner_ref = weakref.ref(self)
@@ -478,6 +493,16 @@ class TypedElement(Element):
 
     def remove_attribute(self, name: str) -> None:
         self._guarded(lambda: Element.remove_attribute(self, name))
+
+    def set_attribute_node(self, attr: Attr) -> Attr | None:
+        return self._guarded(lambda: Element.set_attribute_node(self, attr))
+
+    def remove_attribute_node(self, attr: Attr) -> Attr:
+        return self._guarded(lambda: Element.remove_attribute_node(self, attr))
+
+    @property
+    def attributes(self) -> NamedNodeMap:
+        return _GuardedAttributes(self)
 
     def add(self, child: Any) -> "TypedElement":
         """Typed append (the paper's ``s.add(o)``); returns self."""
@@ -520,6 +545,23 @@ class TypedElement(Element):
         raise VdomStateError(
             f"<{self.tag_name}> has complex content; use its typed "
             "properties instead of .value"
+        )
+
+
+class _GuardedAttributes(NamedNodeMap):
+    """The :attr:`TypedElement.attributes` view: its mutators re-validate
+    and roll back like :meth:`TypedElement.set_attribute`."""
+
+    __slots__ = ()
+
+    def set_named_item(self, attr: Attr) -> Attr | None:
+        return self._element._guarded(
+            lambda: NamedNodeMap.set_named_item(self, attr)
+        )
+
+    def remove_named_item(self, name: str) -> Attr:
+        return self._element._guarded(
+            lambda: NamedNodeMap.remove_named_item(self, name)
         )
 
 

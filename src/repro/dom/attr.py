@@ -71,7 +71,12 @@ class Attr(Node):
         return f"<Attr {self._name}={self.value!r}>"
 
 
-def trusted_attr(name: str, value: str, owner_ref: weakref.ref[Element]) -> Attr:
+def trusted_attr(
+    name: str,
+    value: str,
+    owner_ref: weakref.ref[Element],
+    owner_document: Document | None,
+) -> Attr:
     """A fresh attribute of the element behind *owner_ref*, unchecked.
 
     For builders whose *name* already passed the parser's Name
@@ -79,10 +84,11 @@ def trusted_attr(name: str, value: str, owner_ref: weakref.ref[Element]) -> Attr
     element: skips ``Attr.__init__``'s name validation and the
     displacement and ownership logic of
     :meth:`NamedNodeMap.set_named_item`.  The caller stores the result
-    in the element's ``_attrs`` under *name*.
+    in the element's ``_attrs`` under *name*.  *owner_document* is the
+    element's document, as :meth:`Element.set_attribute` would give it.
     """
     attr = Attr.__new__(Attr)
-    attr._owner_document = None
+    attr._owner_document = owner_document
     attr._parent_ref = None
     attr._children = ()
     attr._name = name

@@ -48,7 +48,7 @@ def parse_document(
                 attrs = element._attrs
                 owner_ref = weakref.ref(element)
                 for name, value in event.attributes:
-                    attrs[name] = trusted_attr(name, value, owner_ref)
+                    attrs[name] = trusted_attr(name, value, owner_ref, document)
             current.append_child(element)
             open_nodes.append(element)
         elif isinstance(event, EndElement):

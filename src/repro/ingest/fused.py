@@ -399,7 +399,7 @@ def _construct(binding: Binding, frame: _Frame, use_tables: bool) -> TypedElemen
     # ``_attribute_field``'s precedence, ``defaults`` lists the
     # fixed/defaulted keys in field order.
     for key, literal in defaults:
-        attrs[key] = trusted_attr(key, literal, ref)
+        attrs[key] = trusted_attr(key, literal, ref, None)
     for name, value in frame.attributes:
         if name.startswith("xmlns"):
             continue
@@ -412,7 +412,7 @@ def _construct(binding: Binding, frame: _Frame, use_tables: bool) -> TypedElemen
         if existing is not None:
             existing.value = value
         else:
-            attrs[key] = trusted_attr(key, value, ref)
+            attrs[key] = trusted_attr(key, value, ref, None)
 
     if binding.validate_on_mutate:
         if is_simple:

@@ -100,10 +100,7 @@ def emit_text_source(
     if len(segments) == 1 and type(segments[0]) is str:
         lines.append(f"    return {segments[0]!r}")
         return "\n".join(lines) + "\n"
-    if any(
-        type(segment) is Run and segment.checker is not None
-        for segment in segments
-    ):
+    if any(type(segment) is Run for segment in segments):
         lines.append("    _check = _b.validate_on_mutate")
     lines.append("    _p = []")
     lines.append("    _a = _p.append")
@@ -114,14 +111,10 @@ def emit_text_source(
             lines.append(f"    _w(values[{segment.name!r}], _p)")
         else:
             escape = "_esc_t" if segment.escape == "text" else "_esc_a"
-            expression = _run_expression(segment)
-            if segment.checker is not None:
-                lines.append(f"    _v{index} = {expression}")
-                lines.append("    if _check:")
-                lines.append(f"        _ck{index}(_v{index})")
-                lines.append(f"    _a({escape}(_v{index}))")
-            else:
-                lines.append(f"    _a({escape}({expression}))")
+            lines.append(f"    _v{index} = {_run_expression(segment)}")
+            lines.append("    if _check:")
+            lines.append(f"        _ck{index}(_v{index})")
+            lines.append(f"    _a({escape}(_v{index}))")
     lines.append("    return ''.join(_p)")
     return "\n".join(lines) + "\n"
 

@@ -31,7 +31,7 @@ from repro.errors import SimpleTypeError, VdomTypeError
 from repro.xsd.components import ANY_TYPE, ComplexType, ContentType
 from repro.xsd.simple import SimpleType
 from repro.core.vdom import lexicalize
-from repro.xml.chars import WHITESPACE
+from repro.xml.chars import ILLEGAL_CHAR, WHITESPACE, illegal_char
 from repro.xml.entities import escape_attribute, escape_text
 from repro.dom.serialize import write_node
 from repro.pxml.ast import Hole, TemplateElement, TemplateText
@@ -85,10 +85,21 @@ def _resolve_slot(
 
 def _make_checker(
     simple_type: SimpleType | None, fixed: str | None, context: str
-) -> Callable[[str], None] | None:
-    """Render-time validator matching the typed constructors' errors."""
+) -> Callable[[str], None]:
+    """Render-time validator matching the typed constructors' errors.
+
+    A slot with no simple type (mixed or ``anyType`` text) still takes
+    only ``Char`` text, as ``TypedElement._append_value`` does: any
+    other character would make the rendered page ill-formed.
+    """
     if simple_type is None and fixed is None:
-        return None
+        find_illegal_char = ILLEGAL_CHAR.search
+
+        def check_chars(value: str) -> None:
+            if find_illegal_char(value) is not None:
+                raise VdomTypeError(f"{context}: {illegal_char(value)}")
+
+        return check_chars
 
     def check(value: str) -> None:
         if fixed is not None and value != fixed:
@@ -130,7 +141,7 @@ class Run:
 
     def emit(self, values: dict[str, Any], check: bool) -> str:
         literal = self.value(values)
-        if check and self.checker is not None:
+        if check:
             self.checker(literal)
         if self.escape == "text":
             return escape_text(literal)
@@ -437,6 +448,6 @@ def build_text_namespace(program: SegmentProgram, binding) -> dict[str, Any]:
         "_hole_specs": program.hole_specs,
     }
     for index, segment in enumerate(program.segments):
-        if type(segment) is Run and segment.checker is not None:
+        if type(segment) is Run:
             namespace[f"_ck{index}"] = segment.checker
     return namespace

@@ -12,13 +12,14 @@ Layers:
 * :mod:`repro.serve.http` — minimal HTTP/1.1 request parsing, response
   formatting (``Content-Length`` and chunked framing), strong ETags and
   the ``If-None-Match`` comparison;
-* :mod:`repro.serve.cache` — the bounded in-process response cache,
-  keyed on ``(route fingerprint, typed hole values)``;
+* :mod:`repro.serve.cache` — the bounded in-process caches of pure
+  answers: pages keyed on ``(route fingerprint, typed hole values)``,
+  ``POST /-/validate`` verdicts keyed on the body's SHA-256 digest;
 * :mod:`repro.serve.routes` — the route table and the directory
   compiler (``*.pxml`` / ``*.page`` sources to compiled routes, keyed
   through :class:`repro.cache.ReproCache`);
-* :mod:`repro.serve.server` — :class:`ReproServer`: response caching
-  with conditional GETs, chunked segment streaming, connection cap
+* :mod:`repro.serve.server` — :class:`ReproServer`: response and
+  verdict caching, conditional GETs, chunked segment streaming, connection cap
   with backpressure, per-request timeouts, graceful drain on SIGTERM,
   and ``/-/stats`` observability.
 

@@ -12,8 +12,8 @@ the segment pipeline's ``render_text`` — the same precomputed-string
 path the benchmarks measure — so the serving tier adds framing, not
 tree walks.
 
-Serve v2 takes the next step, not rendering at all when it can prove it
-does not have to:
+Serve v2 takes the next step, not computing a pure answer twice when it
+can prove it does not have to:
 
 * **response cache** — a bounded LRU
   (:class:`~repro.serve.cache.ResponseCache`) keyed on ``(route
@@ -21,6 +21,12 @@ does not have to:
   200 carries a strong ETag (content hash), ``If-None-Match`` matches
   collapse to bodiless 304s, and the cache is explicitly invalidated
   when :meth:`ReproServer.set_routes` swaps in a rebuilt table;
+* **verdict cache** — a second LRU of the same kind, keyed on the
+  SHA-256 digest of a ``POST /-/validate`` body, replays the status and
+  JSON of its verdict: a re-posted document costs a hash and a lookup,
+  no decode, no walk and no pool round trip.  Both caches are sized by
+  ``cache_entries`` and switched off with it; only pure answers (200
+  pages, 200/422 verdicts) are stored;
 * **streaming mode** — with ``stream=True``, template routes answer as
   ``Transfer-Encoding: chunked``, writing precomputed static segments
   to the socket piece by piece.  Holes are validated *before* the first
@@ -57,6 +63,7 @@ Operational behaviour:
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import signal
 import time
@@ -96,6 +103,14 @@ PAGE_CONTENT_TYPE = "application/xml; charset=utf-8"
 #: (per-chunk framing and drain cost would otherwise dominate tiny runs)
 STREAM_CHUNK_BYTES = 8 * 1024
 
+#: content type of the JSON answers: verdicts and ``/-/stats``
+JSON_CONTENT_TYPE = "application/json; charset=utf-8"
+
+#: the largest verdict JSON the verdict cache stores, so the cache holds
+#: at most ``cache_entries`` times this many body bytes; a longer verdict
+#: (a body with thousands of errors) is answered but recomputed
+MAX_CACHED_VERDICT_BYTES = 64 * 1024
+
 #: parameter-shaped failures: the request named holes that do not fit
 _CLIENT_PARAM_ERRORS = (TypeError, KeyError, NameError)
 
@@ -126,6 +141,11 @@ class ReproServer:
         self.request_timeout = request_timeout
         #: bounded response cache; ``cache_entries=0`` serves uncached
         self.cache = ResponseCache(cache_entries) if cache_entries else None
+        #: ``POST /-/validate`` verdicts by the SHA-256 digest of the body,
+        #: sized and switched off with the page cache
+        self.verdict_cache = (
+            ResponseCache(cache_entries, name="verdict") if cache_entries else None
+        )
         #: chunked streaming of segment pieces for template routes
         self.stream = stream
         #: schema backing ``POST /-/validate`` (table-driven streaming
@@ -181,7 +201,8 @@ class ReproServer:
         rebuild: a recompiled route may produce different bytes for the
         same key shape, and stale entries must not outlive the table
         they were rendered from.  (Content-addressed route fingerprints
-        are defense in depth, not a substitute.)
+        are defense in depth, not a substitute.)  The verdict cache
+        stays: a verdict does not depend on the routes.
         """
         self.routes = routes
         if self.cache is not None:
@@ -290,10 +311,11 @@ class ReproServer:
 
     def _respond(
         self, request: HttpRequest, keep_alive: bool, body: bytes = b""
-    ) -> bytes | list[bytes]:
-        """One request to one response: complete bytes, or — for the
-        streaming mode — a list of ``[head, chunk..., last-chunk]``
-        parts the connection loop writes and drains one by one."""
+    ) -> bytes | list[bytes] | asyncio.Task:
+        """One request to one response: complete bytes; for the
+        streaming mode, a list of ``[head, chunk..., last-chunk]``
+        parts the connection loop writes and drains one by one; or, for
+        a pooled ``POST /-/validate`` verdict, the task computing it."""
         keep_alive = keep_alive and not self.stats["draining"]
         head_only = request.method == "HEAD"
         if request.path == "/-/validate":
@@ -313,7 +335,7 @@ class ReproServer:
             return build_response(
                 200,
                 self._stats_body(),
-                "application/json; charset=utf-8",
+                JSON_CONTENT_TYPE,
                 keep_alive=keep_alive,
                 head_only=head_only,
             )
@@ -421,7 +443,7 @@ class ReproServer:
 
     def _validate_body(
         self, request: HttpRequest, body: bytes, keep_alive: bool
-    ) -> bytes:
+    ) -> bytes | asyncio.Task:
         """``POST /-/validate``: the 422 pre-check as a service.
 
         The posted document streams through the table-driven
@@ -429,6 +451,15 @@ class ReproServer:
         tree — and the verdict comes back as JSON: 200 with
         ``{"valid": true}`` or 422 listing every validation error (or
         the one fatal syntax error) with line/column positions.
+
+        The verdict cache answers first.  A verdict is a function of the
+        body bytes and of the server's schema or pool, which is fixed for
+        the server's lifetime, so an entry never needs invalidating and
+        a repeated body is answered from its SHA-256 digest: no decode,
+        no walk, no pool round trip.  Only a miss decodes the body (a
+        non-UTF-8 body gets its 400 every time) and validates it, inline
+        or, with a pool, in a task this returns for the connection to
+        wait on.
         """
         if request.method != "POST":
             self._record("-/validate", 405)
@@ -439,7 +470,7 @@ class ReproServer:
                 head_only=request.method == "HEAD",
                 extra_headers=(("Allow", "POST"),),
             )
-        if self._validator is None:
+        if self._validator is None and self.validate_pool is None:
             self._record("-/validate", 404)
             return build_response(
                 404,
@@ -447,17 +478,27 @@ class ReproServer:
                 b"against\n",
                 keep_alive=keep_alive,
             )
+        key = None
+        if self.verdict_cache is not None:
+            key = hashlib.sha256(body).digest()
+            entry = self.verdict_cache.get(key)
+            if entry is not None:
+                return self._verdict_response(entry.status, entry.body, keep_alive)
         try:
             text = body.decode("utf-8")
         except UnicodeDecodeError:
             self._record("-/validate", 400)
             return error_response(400, "request body is not valid UTF-8")
+        if self.validate_pool is not None:
+            return self._loop.create_task(
+                self._validate_pooled(text, key, keep_alive)
+            )
         with obs.timeit("serve.validate"):
             payload = text_verdict(self._validator, text)
-        return self._verdict_response(payload, keep_alive)
+        return self._new_verdict(payload, key, keep_alive)
 
     async def _validate_pooled(
-        self, request: HttpRequest, body: bytes, keep_alive: bool
+        self, text: str, key: bytes | None, keep_alive: bool
     ) -> bytes:
         """``POST /-/validate`` through the persistent worker pool.
 
@@ -466,12 +507,6 @@ class ReproServer:
         runs in another process, so N pool workers validate N posted
         documents genuinely in parallel.
         """
-        keep_alive = keep_alive and not self.stats["draining"]
-        try:
-            text = body.decode("utf-8")
-        except UnicodeDecodeError:
-            self._record("-/validate", 400)
-            return error_response(400, "request body is not valid UTF-8")
         try:
             with obs.timeit("serve.validate", route="pool"):
                 future = self.validate_pool.submit_text(text)
@@ -486,22 +521,33 @@ class ReproServer:
             )
         self.stats["pool_validated"] += 1
         obs.count("serve.validate.pool")
-        return self._verdict_response(payload, keep_alive)
+        # A drain that began while the worker ran closes after this.
+        keep_alive = keep_alive and not self.stats["draining"]
+        return self._new_verdict(payload, key, keep_alive)
 
-    def _verdict_response(self, payload: dict, keep_alive: bool) -> bytes:
-        """A ``POST /-/validate`` verdict as its 200 or 422, counted."""
+    def _new_verdict(
+        self, payload: dict, key: bytes | None, keep_alive: bool
+    ) -> bytes:
+        """A verdict just computed: its JSON, stored under the body's
+        *key* unless the cache is off or the JSON is too long."""
+        status = 200 if payload["valid"] else 422
+        body = (json.dumps(payload, indent=2) + "\n").encode()
+        if key is not None and len(body) <= MAX_CACHED_VERDICT_BYTES:
+            self.verdict_cache.put(key, body, None, JSON_CONTENT_TYPE, status)
+        return self._verdict_response(status, body, keep_alive)
+
+    def _verdict_response(
+        self, status: int, body: bytes, keep_alive: bool
+    ) -> bytes:
+        """A ``POST /-/validate`` verdict as its 200 or 422, counted
+        alike whether it was computed or replayed."""
         self.stats["validated"] += 1
         obs.count(
-            "serve.validate",
-            outcome="valid" if payload["valid"] else "invalid",
+            "serve.validate", outcome="valid" if status == 200 else "invalid"
         )
-        status = 200 if payload["valid"] else 422
         self._record("-/validate", status)
         return build_response(
-            status,
-            (json.dumps(payload, indent=2) + "\n").encode(),
-            "application/json; charset=utf-8",
-            keep_alive=keep_alive,
+            status, body, JSON_CONTENT_TYPE, keep_alive=keep_alive
         )
 
     def _finish(
@@ -582,6 +628,11 @@ class ReproServer:
                 "stream": self.stream,
                 "cache": (
                     self.cache.snapshot() if self.cache is not None else None
+                ),
+                "verdict_cache": (
+                    self.verdict_cache.snapshot()
+                    if self.verdict_cache is not None
+                    else None
                 ),
                 "validate_pool": (
                     self.validate_pool.stats_snapshot()
@@ -790,24 +841,19 @@ class _Connection(asyncio.Protocol):
                 return
 
     def _answer(self, request: HttpRequest, body: bytes) -> None:
-        server = self.server
-        keep_alive = request.wants_keep_alive()
-        if (
-            server.validate_pool is not None
-            and request.path == "/-/validate"
-            and request.method == "POST"
-        ):
-            # Fan the document out to a warm pool worker; the event loop
-            # stays free for other connections while the worker runs the
-            # table-driven streaming validator.  Later pipelined requests
-            # wait for this verdict.
-            self.verdict = self.loop.create_task(
-                server._validate_pooled(request, body, keep_alive)
-            )
-            self.verdict.add_done_callback(self._deliver)
+        response = self.server._respond(
+            request, request.wants_keep_alive(), body
+        )
+        if isinstance(response, asyncio.Task):
+            # A verdict-cache miss fanned out to a warm pool worker; the
+            # event loop stays free for other connections while the
+            # worker runs the table-driven streaming validator.  Later
+            # pipelined requests wait for this verdict.
+            self.verdict = response
+            response.add_done_callback(self._deliver)
             self._block()
             return
-        if not self._write(server._respond(request, keep_alive, body)):
+        if not self._write(response):
             self.close()
         elif not self.writing_paused:
             self._arm()  # the next head's budget

@@ -147,6 +147,22 @@ def char_class() -> str:
 _NAME_MATCH = re.compile(f"[{name_start_class()}][{name_char_class()}]*").fullmatch
 _NMTOKEN_MATCH = re.compile(f"[{name_char_class()}]+").fullmatch
 
+#: any character outside the ``Char`` production (one C-level scan
+#: replaces the per-character ``is_xml_char`` loop)
+ILLEGAL_CHAR = re.compile(f"[^{char_class()}]")
+
+
+def illegal_char(text: str) -> str | None:
+    """``"illegal character U+XXXX"`` for the first character of *text*
+    outside ``Char``, or ``None`` when every character may appear in a
+    document.  The parser reports the same words for such a character,
+    so text built outside it (template holes, typed values) is refused
+    as a document containing it would be."""
+    bad = ILLEGAL_CHAR.search(text)
+    if bad is None:
+        return None
+    return f"illegal character U+{ord(bad.group()):04X}"
+
 
 # White space is exactly ``WHITESPACE`` (production [3]).  Python's own
 # ``str.split()``/``str.strip()``/``str.isspace()`` also take NBSP,

@@ -23,7 +23,12 @@ import sys
 from collections.abc import Iterator
 
 from repro.errors import Location, XmlSyntaxError
-from repro.xml.chars import char_class, name_char_class, name_start_class
+from repro.xml.chars import (
+    ILLEGAL_CHAR,
+    illegal_char,
+    name_char_class,
+    name_start_class,
+)
 from repro.xml.entities import decode_char_reference, resolve_reference
 from repro.xml.events import (
     Characters,
@@ -58,10 +63,6 @@ _TEXT_STOP = re.compile(r"[<&]|]]>")
 #: via character references (``&#13;``) are *not* normalized — reference
 #: resolution happens after end-of-line handling in the spec's model.
 _LINE_BREAKS = re.compile("\r\n?")
-
-#: any character outside the ``Char`` production (one C-level scan
-#: replaces the per-character ``is_xml_char`` loop)
-_ILLEGAL_CHAR = re.compile(f"[^{char_class()}]")
 
 #: attribute values containing none of these need no normalization at
 #: all — no references to resolve, no white space to fold, no '<' error
@@ -440,7 +441,7 @@ class PullParser:
             if match is not None:
                 attr_name = match.group(1)
                 value = match.group(2)
-                if attr_name not in seen and _ILLEGAL_CHAR.search(value) is None:
+                if attr_name not in seen and ILLEGAL_CHAR.search(value) is None:
                     seen.add(attr_name)
                     attributes.append((_intern(attr_name), value))
                     reader.offset = match.end()
@@ -573,7 +574,7 @@ class PullParser:
             run = text[offset:stop]
             # The run ends at the first structural stop, so any illegal
             # character inside it necessarily precedes a ``]]>`` stop.
-            bad = _ILLEGAL_CHAR.search(run)
+            bad = ILLEGAL_CHAR.search(run)
             if bad is not None:
                 reader.offset = offset + bad.start()
                 raise XmlSyntaxError(
@@ -602,7 +603,7 @@ class PullParser:
             found = stop_match.group() if stop_match is not None else ""
             stop = stop_match.start() if stop_match is not None else length
             run = text[offset:stop]
-            bad = _ILLEGAL_CHAR.search(run)
+            bad = ILLEGAL_CHAR.search(run)
             if bad is not None:
                 reader.offset = offset + bad.start()
                 raise XmlSyntaxError(
@@ -661,11 +662,9 @@ class PullParser:
             index = semi + 1
 
     def _check_chars(self, text: str, location: Location) -> None:
-        bad = _ILLEGAL_CHAR.search(text)
-        if bad is not None:
-            raise XmlSyntaxError(
-                f"illegal character U+{ord(bad.group()):04X}", location
-            )
+        problem = illegal_char(text)
+        if problem is not None:
+            raise XmlSyntaxError(problem, location)
 
 
 def iter_events(text: str, source: str | None = None) -> Iterator[Event]:

@@ -179,9 +179,13 @@ class SimpleType:
             accepted.add(raw)
 
     def accepts_everything(self) -> bool:
-        """True when the compiled chain is the identity (``xs:string``):
-        every literal the XML parser lets through is valid, so the fast
-        routes skip both the check and the memo."""
+        """True when the compiled chain is the bare ``xs:string`` kernel.
+
+        That kernel refuses only characters outside XML's ``Char``
+        production, and the XML parser has already refused those in
+        every literal it lets through, so the fast routes (the walker's
+        and typed ingest's table routes) skip both the check and the
+        memo for parsed text."""
         chain = self._chain
         if chain is None:
             chain = self._chain = self._compile()

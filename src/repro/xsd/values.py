@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 
 from repro.errors import SimpleTypeError
-from repro.xml.chars import is_name, is_ncname, is_nmtoken
+from repro.xml.chars import ILLEGAL_CHAR, illegal_char, is_name, is_ncname, is_nmtoken
 
 _BOOLEAN_VALUES = {"true": True, "1": True, "false": False, "0": False}
 
@@ -58,6 +58,8 @@ _DURATION_RE = re.compile(
 _HEX_RE = re.compile(r"([0-9a-fA-F]{2})*\Z")
 _BASE64_RE = re.compile(r"[A-Za-z0-9+/]*={0,2}\Z")
 _LANGUAGE_RE = re.compile(r"[a-zA-Z]{1,8}(-[a-zA-Z0-9]{1,8})*\Z")
+#: bound once: the string kernel runs for every typed hole and value
+_find_illegal_char = ILLEGAL_CHAR.search
 
 
 @dataclass(frozen=True, order=True)
@@ -107,6 +109,11 @@ def _fail(type_name: str, literal: str) -> SimpleTypeError:
 
 
 def parse_string(literal: str) -> str:
+    # XSD Part 2 §3.2.1: the value space of string is the finite
+    # sequences of XML ``Char``s, so a literal no document could carry
+    # is refused here rather than written out as ill-formed markup.
+    if _find_illegal_char(literal) is not None:
+        raise SimpleTypeError(illegal_char(literal))
     return literal
 
 
@@ -246,7 +253,10 @@ def parse_base64_binary(literal: str) -> bytes:
 
 def parse_any_uri(literal: str) -> str:
     # Per the spec the anyURI lexical space is extremely permissive; reject
-    # only characters that can never appear in a URI reference.
+    # only characters that can never appear in a URI reference, and, as
+    # for string, characters that can never appear in a document.
+    if _find_illegal_char(literal) is not None:
+        raise SimpleTypeError(illegal_char(literal))
     if any(char in literal for char in " <>{}|\\^`\"") and "%20" not in literal:
         for char in " <>{}|\\^`\"":
             if char in literal:

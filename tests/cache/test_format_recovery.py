@@ -22,9 +22,10 @@ SCHEMA = """
 """
 
 
-def test_format_version_is_six():
+def test_format_version_is_seven():
     # 6: the generated ``render_text`` takes one mapping of hole values.
-    assert CACHE_FORMAT_VERSION == 6
+    # 7: it checks every run, untyped text holes for ``Char`` included.
+    assert CACHE_FORMAT_VERSION == 7
 
 
 def test_fingerprint_changes_with_format_version(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import bind
 from repro.core.vdom import TypedElement, VdomGroup, snake_case
-from repro.dom import Element, serialize
+from repro.dom import Attr, Element, serialize
 from repro.errors import VdomStateError, VdomTypeError
 from repro.xsd import SchemaValidator
 from repro.schemas import PURCHASE_ORDER_SCHEMA
@@ -211,6 +211,40 @@ class TestMutation:
             item.remove_attribute("partNum")
         assert item.get_attribute_node("partNum") is attr
         assert attr.owner_element is item
+
+    def test_attribute_node_mutations_are_guarded(self, full_po):
+        item = full_po.items.item_list[0]
+        part_num = item.get_attribute_node("partNum")
+        bogus = Attr("bogus", "x")
+        with pytest.raises(VdomTypeError, match="required attribute 'partNum'"):
+            item.remove_attribute_node(part_num)
+        with pytest.raises(VdomTypeError, match="'bogus' is not declared"):
+            item.set_attribute_node(bogus)
+        with pytest.raises(VdomTypeError, match="required attribute 'partNum'"):
+            item.attributes.remove_named_item("partNum")
+        with pytest.raises(VdomTypeError, match="'bogus' is not declared"):
+            item.attributes.set_named_item(bogus)
+        with pytest.raises(VdomTypeError, match="does not match pattern"):
+            item.set_attribute_node(Attr("partNum", "not-a-part"))
+        # Each refusal rolled back: the element is still valid as it was.
+        item.check_valid()
+        assert item.get_attribute_node("partNum") is part_num
+        assert part_num.owner_element is item
+        assert bogus.owner_element is None
+        assert item.attributes.names() == ["partNum"]
+
+    @pytest.mark.parametrize("through", ["element", "view"])
+    def test_a_valid_attribute_node_replaces(self, full_po, through):
+        item = full_po.items.item_list[0]
+        old = item.get_attribute_node("partNum")
+        new = Attr("partNum", "123-XY")
+        if through == "element":
+            assert item.set_attribute_node(new) is old
+        else:
+            assert item.attributes.set_named_item(new) is old
+        assert item.part_num == "123-XY"
+        assert new.owner_element is item and old.owner_element is None
+        item.check_valid()
 
     def test_remove_optional_child_succeeds(self, full_po):
         comment = full_po.comment

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DomError, XmlError
-from repro.dom import Document
+from repro.dom import Document, parse_document
 
 
 @pytest.fixture
@@ -85,6 +85,18 @@ class TestAttrNodes:
         assert element.attributes.items() == [
             ("x", "X"), ("y", "Y"), ("z", "Z")
         ]
+
+
+class TestParsedAttributes:
+    def test_a_parsed_attribute_knows_its_document(self):
+        document = parse_document('<a x="1"/>')
+        attr = document.document_element.get_attribute_node("x")
+        assert attr.owner_document is document
+        other = Document().create_element("b")
+        with pytest.raises(DomError, match="belongs to a different document"):
+            other.attributes.set_named_item(
+                document.document_element.remove_attribute_node(attr)
+            )
 
 
 class TestAttributesView:

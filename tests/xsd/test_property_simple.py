@@ -2,10 +2,30 @@
 
 import decimal
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SimpleTypeError
 from repro.xsd.regex import compile_pattern
 from repro.xsd.simple import builtin_type, list_of, restrict
+
+#: XML 1.0 production [2], ``Char``: the characters a document may hold
+XML_CHARS = st.one_of(
+    st.sampled_from("\t\n\r"),
+    st.characters(min_codepoint=0x20, max_codepoint=0xD7FF),
+    st.characters(min_codepoint=0xE000, max_codepoint=0xFFFD),
+    st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF),
+)
+
+#: every code point outside ``Char``: C0 controls other than tab, line
+#: feed and carriage return, the surrogates, U+FFFE and U+FFFF
+NON_XML_CHARS = st.one_of(
+    st.integers(0x0, 0x8),
+    st.integers(0xB, 0xC),
+    st.integers(0xE, 0x1F),
+    st.integers(0xD800, 0xDFFF),
+    st.integers(0xFFFE, 0xFFFF),
+).map(chr)
 
 
 class TestIntegerHierarchy:
@@ -64,9 +84,25 @@ class TestWhitespaceInvariants:
         assert builtin_type("token").parse(literal) == str(value)
 
     @settings(max_examples=100, deadline=None)
-    @given(text=st.text(max_size=30))
+    @given(text=st.text(alphabet=XML_CHARS, max_size=30))
     def test_string_preserves_exactly(self, text):
         assert builtin_type("string").parse(text) == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        head=st.text(alphabet=XML_CHARS, max_size=10),
+        bad=NON_XML_CHARS,
+        tail=st.text(max_size=10),
+    )
+    def test_string_refuses_non_char_text(self, head, bad, tail):
+        # XSD Part 2: the value space of string is sequences of XML Char.
+        literal = head + bad + tail
+        for name in ("string", "normalizedString", "token", "anyURI"):
+            with pytest.raises(SimpleTypeError) as raised:
+                builtin_type(name).parse(literal)
+            assert raised.value.message == (
+                f"illegal character U+{ord(bad):04X}"
+            )
 
 
 class TestListTypes:
