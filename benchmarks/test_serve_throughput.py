@@ -21,6 +21,13 @@ Three scenarios, all sharing the same client machinery:
   streamed-then-reassembled, and directly rendered bodies must all be
   byte-identical — the cache and the chunked framing may change *how*
   bytes move, never *which* bytes.
+* ``serve:verdict_cache`` — ``POST /-/validate`` with the verdict cache
+  on and off, on two workloads: *fresh* bodies, every one new (the
+  cache only hashes, misses, stores and evicts), and *repeated* ones
+  (eight bodies over and over, nearly all hits).  The prediction is
+  ``fresh_on_over_off`` near 1 and ``repeated_on_over_off`` well above
+  it; both workloads must get the same verdict bytes either way.  The
+  ratios are recorded, not gated.
 
 Floors come from :mod:`benchmarks` (``floors.json``) so this module and
 the CI ``bench-gate`` can never disagree about the acceptable numbers.
@@ -41,6 +48,7 @@ import pytest
 
 from benchmarks import bench_floor
 from repro.pxml import Template
+from repro.schemas import PURCHASE_ORDER_DOCUMENT
 from repro.serve import ReproServer, RouteTable
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
@@ -86,6 +94,20 @@ for _i in range(HEAVY_ITEM_COUNT):
     HEAVY_VALUES[f"u{_i}"] = f"{_i}.99"
 HEAVY_QUERY = "&".join(f"{k}={v}" for k, v in HEAVY_VALUES.items())
 HEAVY_TARGET = f"/order?{HEAVY_QUERY}"
+
+#: ``POST /-/validate`` requests per pass of the verdict-cache scenario
+VERDICT_POSTS = 100 if QUICK else 400
+#: distinct bodies the repeated workload cycles through
+VERDICT_REPEATED = 8
+
+
+def _po_body(index: int) -> bytes:
+    """Purchase order number *index*: distinct bytes (a trailing
+    comment), every other one invalid (a ``partNum`` off its pattern)."""
+    text = PURCHASE_ORDER_DOCUMENT
+    if index % 2:
+        text = text.replace('partNum="', 'partNum="x', 1)
+    return f"{text}<!-- {index} -->\n".encode()
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -251,6 +273,74 @@ async def _measure_hot_cache(po_binding) -> tuple[dict, bytes, bytes, bytes]:
     return result, cold_body, hot_body, streamed_body
 
 
+async def _post_burst(port: int, bodies: list[bytes]) -> list[bytes]:
+    """POST each body to ``/-/validate`` in turn on one keep-alive
+    connection; returns the verdict bodies."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    verdicts = []
+    for body in bodies:
+        writer.write(
+            b"POST /-/validate HTTP/1.1\r\nHost: bench\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+        )
+        await writer.drain()
+        verdicts.append(await _read_response(reader))
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):
+        pass
+    return verdicts
+
+
+async def _measure_verdict_cache(po_binding) -> tuple[dict, dict]:
+    """POST req/s with the verdict cache on and off, per workload, plus
+    each run's verdicts for parity."""
+
+    def bodies(workload: str, repeat: int) -> list[bytes]:
+        if workload == "fresh":
+            first = repeat * VERDICT_POSTS
+            return [_po_body(first + i) for i in range(VERDICT_POSTS)]
+        return [_po_body(i % VERDICT_REPEATED) for i in range(VERDICT_POSTS)]
+
+    async def run_server(workload: str, **options) -> tuple[float, list, dict]:
+        server = ReproServer(
+            RouteTable(),
+            port=0,
+            request_timeout=30.0,
+            schema=po_binding.schema,
+            **options,
+        )
+        await server.start()
+        try:
+            await _post_burst(server.port, [_po_body(-1 - i) for i in range(10)])
+            best = 0.0
+            verdicts: list[bytes] = []
+            for repeat in range(REPEATS):
+                sent = bodies(workload, repeat)
+                start = time.perf_counter()
+                verdicts = await _post_burst(server.port, sent)
+                elapsed = time.perf_counter() - start
+                best = max(best, len(sent) / elapsed)
+            cache = server.verdict_cache
+            return best, verdicts, cache.snapshot() if cache else {}
+        finally:
+            server.request_shutdown()
+            await server.drain()
+
+    result: dict = {"posts": VERDICT_POSTS, "repeats": REPEATS}
+    verdicts = {}
+    for workload in ("fresh", "repeated"):
+        off_rps, off_verdicts = (await run_server(workload, cache_entries=0))[:2]
+        on_rps, on_verdicts, snapshot = await run_server(workload)
+        verdicts[workload] = (off_verdicts, on_verdicts)
+        result[f"{workload}_off_rps"] = round(off_rps, 1)
+        result[f"{workload}_on_rps"] = round(on_rps, 1)
+        result[f"{workload}_on_over_off"] = round(on_rps / off_rps, 3)
+        result[f"{workload}_hits"] = snapshot["hits"]
+    return result, verdicts
+
+
 def test_sustained_throughput_and_byte_parity(po_binding):
     expected = Template(po_binding, SHIP_TO).render_text(**HOLE_VALUES)
     result, body = asyncio.run(_measure(po_binding))
@@ -301,4 +391,22 @@ def test_hot_cache_ratio_and_three_way_parity(po_binding):
     assert result["hot_over_cold"] >= floor, (
         f"response cache bought only {result['hot_over_cold']:.1f}x over "
         f"uncached rendering (floor {floor}x)"
+    )
+
+
+def test_verdict_cache_on_fresh_and_repeated_bodies(po_binding):
+    result, verdicts = asyncio.run(_measure_verdict_cache(po_binding))
+    for off_verdicts, on_verdicts in verdicts.values():
+        assert on_verdicts == off_verdicts
+    assert b'"valid": false' in verdicts["fresh"][0][1]
+    # Fresh bodies never hit; repeated ones hit from the second lap on.
+    assert result["fresh_hits"] == 0
+    assert result["repeated_hits"] >= REPEATS * VERDICT_POSTS - VERDICT_REPEATED
+    RESULTS["serve:verdict_cache"] = result
+    print(
+        f"\nserve verdict cache: fresh bodies {result['fresh_on_rps']:.0f} "
+        f"vs {result['fresh_off_rps']:.0f} req/s "
+        f"({result['fresh_on_over_off']:.2f}x), repeated bodies "
+        f"{result['repeated_on_rps']:.0f} vs {result['repeated_off_rps']:.0f} "
+        f"req/s ({result['repeated_on_over_off']:.2f}x), cache on vs off"
     )

@@ -161,19 +161,7 @@ class TypedElement(Element):
             for item in child:
                 self._append_value(item)
             return
-        literal = self._lexicalize(child)
-        if ILLEGAL_CHAR.search(literal) is not None:
-            type_definition = type(self)._TYPE
-            if type_definition is ANY_TYPE or (
-                isinstance(type_definition, ComplexType)
-                and type_definition.content_type is ContentType.MIXED
-            ):
-                # Free text: no simple type checks it, but a character
-                # outside ``Char`` would still make the tree ill-formed.
-                raise VdomTypeError(
-                    f"content of <{self.tag_name}>: {illegal_char(literal)}"
-                )
-        Element.append_child(self, Text(literal, None))
+        Element.append_child(self, Text(self._lexicalize(child), None))
 
     def _lexicalize(self, value: Any) -> str:
         """Turn a Python value into its XML literal."""
@@ -228,6 +216,10 @@ class TypedElement(Element):
             self._check_simple(type_definition)
         elif type_definition is not ANY_TYPE:
             self._check_complex(type_definition)
+        else:
+            for node in self.iter_children():
+                if isinstance(node, Text):
+                    self._check_free_text(node.data)
         if declaration.fixed is not None and self.text_content != declaration.fixed:
             raise VdomTypeError(
                 f"element '{declaration.name}' must have the fixed value "
@@ -263,10 +255,15 @@ class TypedElement(Element):
         self._check_attributes(complex_type)
         content_type = complex_type.content_type
         children = self.child_elements()
-        has_text = any(
-            isinstance(node, Text) and node.data.strip(WHITESPACE)
-            for node in self.iter_children()
-        )
+        mixed = content_type is ContentType.MIXED
+        has_text = False
+        for node in self.iter_children():
+            if isinstance(node, Text):
+                if mixed:
+                    self._check_free_text(node.data)
+                elif node.data.strip(WHITESPACE):
+                    has_text = True
+                    break
         if content_type is ContentType.EMPTY:
             if children or has_text:
                 raise VdomTypeError(f"<{self.tag_name}> must be empty")
@@ -327,6 +324,15 @@ class TypedElement(Element):
             len(self._children),
             matcher.state,
         )
+
+    def _check_free_text(self, data: str) -> None:
+        """Text of mixed or ``anyType`` content: no simple type checks
+        it, but a character outside ``Char`` would still make the tree
+        ill-formed."""
+        if ILLEGAL_CHAR.search(data) is not None:
+            raise VdomTypeError(
+                f"content of <{self.tag_name}>: {illegal_char(data)}"
+            )
 
     def _check_attributes(self, complex_type: ComplexType) -> None:
         uses = complex_type.effective_attribute_uses()

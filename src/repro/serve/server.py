@@ -77,7 +77,7 @@ from repro.errors import (
     ValidationError,
     VdomError,
 )
-from repro.serve.cache import DEFAULT_MAX_ENTRIES, ResponseCache
+from repro.serve.cache import DEFAULT_MAX_ENTRIES, CachedResponse, ResponseCache
 from repro.serve.http import (
     LAST_CHUNK,
     MAX_BODY_BYTES,
@@ -107,9 +107,11 @@ STREAM_CHUNK_BYTES = 8 * 1024
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
 #: the largest verdict JSON the verdict cache stores, so the cache holds
-#: at most ``cache_entries`` times this many body bytes; a longer verdict
-#: (a body with thousands of errors) is answered but recomputed
-MAX_CACHED_VERDICT_BYTES = 64 * 1024
+#: at most ``cache_entries`` times this many body bytes (2 MiB at the
+#: default 512 entries).  An error takes about 200 bytes of JSON, so this
+#: keeps every verdict of up to about 18 errors; a longer one is answered
+#: but recomputed.
+MAX_CACHED_VERDICT_BYTES = 4 * 1024
 
 #: parameter-shaped failures: the request named holes that do not fit
 _CLIENT_PARAM_ERRORS = (TypeError, KeyError, NameError)
@@ -483,7 +485,7 @@ class ReproServer:
             key = hashlib.sha256(body).digest()
             entry = self.verdict_cache.get(key)
             if entry is not None:
-                return self._verdict_response(entry.status, entry.body, keep_alive)
+                return self._verdict_response(entry, keep_alive)
         try:
             text = body.decode("utf-8")
         except UnicodeDecodeError:
@@ -528,26 +530,29 @@ class ReproServer:
     def _new_verdict(
         self, payload: dict, key: bytes | None, keep_alive: bool
     ) -> bytes:
-        """A verdict just computed: its JSON, stored under the body's
-        *key* unless the cache is off or the JSON is too long."""
+        """A verdict just computed: its response, stored under the
+        body's *key* unless the cache is off or the JSON is too long."""
         status = 200 if payload["valid"] else 422
         body = (json.dumps(payload, indent=2) + "\n").encode()
         if key is not None and len(body) <= MAX_CACHED_VERDICT_BYTES:
-            self.verdict_cache.put(key, body, None, JSON_CONTENT_TYPE, status)
-        return self._verdict_response(status, body, keep_alive)
+            verdict = self.verdict_cache.put(
+                key, body, None, JSON_CONTENT_TYPE, status
+            )
+        else:
+            verdict = CachedResponse(body, None, JSON_CONTENT_TYPE, status)
+        return self._verdict_response(verdict, keep_alive)
 
-    def _verdict_response(
-        self, status: int, body: bytes, keep_alive: bool
-    ) -> bytes:
-        """A ``POST /-/validate`` verdict as its 200 or 422, counted
-        alike whether it was computed or replayed."""
+    def _verdict_response(self, verdict: CachedResponse, keep_alive: bool) -> bytes:
+        """A ``POST /-/validate`` verdict as its 200 or 422, counted and
+        framed alike whether it was computed or replayed."""
+        status = verdict.status
         self.stats["validated"] += 1
         obs.count(
             "serve.validate", outcome="valid" if status == 200 else "invalid"
         )
         self._record("-/validate", status)
         return build_response(
-            status, body, JSON_CONTENT_TYPE, keep_alive=keep_alive
+            status, verdict.body, verdict.content_type, keep_alive=keep_alive
         )
 
     def _finish(

@@ -10,7 +10,8 @@ rejects:
 * by the ``string`` kernel, so a typed hole, a typed attribute and a
   simple-typed V-DOM element refuse it;
 * by free text, which no simple type checks: a P-XML text or attribute
-  run with no simple type, and V-DOM mixed-content text;
+  run with no simple type, and V-DOM mixed or ``anyType`` text, however
+  it is added;
 * by the serve tier, which answers 422.
 
 The table routes of the walker and of typed ingest still skip plain
@@ -23,10 +24,13 @@ import re
 
 import pytest
 
+from repro import bind
 from repro.dom import parse_document
+from repro.dom.charnodes import Text
 from repro.dom.serialize import serialize
 from repro.errors import VdomTypeError, XmlSyntaxError
 from repro.pxml import Template
+from repro.schemas import WML_SCHEMA
 from repro.serve import RouteTable
 from tests.serve.test_server import SHIP_TO, get, running
 
@@ -123,6 +127,51 @@ class TestFreeText:
         with pytest.raises(VdomTypeError, match="illegal character"):
             option.add(value)
         assert option.text_content == "x"
+
+    @pytest.mark.parametrize("mutation", ["append", "insert", "replace"])
+    def test_mixed_content_text_node_refuses(self, wml_binding, probe, mutation):
+        code, value = probe
+        option = wml_binding.factory.create_option("x", value="p")
+        node = Text(value, None)
+        with pytest.raises(
+            VdomTypeError, match=f"^content of <option>: illegal character {code}$"
+        ):
+            if mutation == "append":
+                option.append_child(node)
+            elif mutation == "insert":
+                option.insert_before(node, option.first_child)
+            else:
+                option.replace_child(node, option.first_child)
+        assert serialize(option) == '<option value="p">x</option>'
+
+    def test_any_type_text_refuses(self, probe):
+        code, value = probe
+        binding = bind(ANY_TYPE_SCHEMA)
+        message = f"^content of <any>: illegal character {code}$"
+        with pytest.raises(VdomTypeError, match=message):
+            binding.factory.create_any(value)
+        element = binding.factory.create_any("x")
+        with pytest.raises(VdomTypeError, match=message):
+            element.append_child(Text(value, None))
+        assert serialize(element) == "<any>x</any>"
+
+    def test_unchecked_binding_defers_to_check_valid(self, probe):
+        """With ``validate_on_mutate=False`` free text is checked where
+        every other constraint is: by an explicit ``check_valid``."""
+        code, value = probe
+        option = bind(WML_SCHEMA, validate_on_mutate=False).factory.create_option(
+            value, value="p"
+        )
+        with pytest.raises(VdomTypeError, match=f"illegal character {code}$"):
+            option.check_valid()
+
+
+#: an element with no type is of ``anyType``
+ANY_TYPE_SCHEMA = """\
+<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="any"/>
+</xs:schema>
+"""
 
 
 class TestServe:
