@@ -45,8 +45,9 @@ DEFAULT_MAX_ENTRIES = 512
 
 
 class CachedResponse:
-    """One stored response: its status, the exact body bytes and their
-    validator (``None`` for a verdict, which carries no ETag)."""
+    """One stored response: its status, the exact body bytes, their
+    content type and their validator (``None`` for a verdict, which
+    carries no ETag)."""
 
     __slots__ = ("body", "etag", "content_type", "status")
 
