@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
-from repro.errors import XmlError
+from repro.errors import DomError, XmlError
 from repro.xml.chars import is_name
 from repro.dom.attr import Attr, NamedNodeMap
 from repro.dom.node import Node, NodeType, relink
@@ -91,6 +91,13 @@ class Element(Node):
         return NamedNodeMap(self).set_named_item(attr)
 
     def remove_attribute_node(self, attr: Attr) -> Attr:
+        """Remove *attr*, which must be this element's own node: another
+        node of the same name is the DOM's NOT_FOUND error, and the
+        element keeps its attribute."""
+        if self._attrs.get(attr.name) is not attr:
+            raise DomError(
+                f"'{attr.name}' is not an attribute node of <{self._tag_name}>"
+            )
         return NamedNodeMap(self).remove_named_item(attr.name)
 
     # -- element queries --------------------------------------------------------

@@ -124,29 +124,36 @@ class HttpRequest:
 
 
 def parse_query(query: str) -> dict[str, str]:
-    """``dict(parse_qsl(query, keep_blank_values=True))`` in one pass.
+    """``dict(parse_qsl(query, keep_blank_values=True, errors="strict"))``
+    in one pass.
 
     ``parse_qsl`` replaces ``+`` and calls ``unquote`` twice for every
     pair.  Here a name or value holding neither ``%`` nor ``+`` is used
     as split, so a query of plain pairs (the common case, and the
     450-hole routes) costs one ``split`` and one ``partition`` per pair.
+    Percent-escapes that do not decode as UTF-8 raise
+    :class:`HttpError` 400, as a request body that is not UTF-8 does:
+    no hole is filled with a U+FFFD the client did not send.
     """
     result: dict[str, str] = {}
     decode = "%" in query or "+" in query
-    for pair in query.split("&"):
-        if pair:
-            name, _, value = pair.partition("=")
-            if decode:
-                name = _unquote_plus(name)
-                value = _unquote_plus(value)
-            result[name] = value
+    try:
+        for pair in query.split("&"):
+            if pair:
+                name, _, value = pair.partition("=")
+                if decode:
+                    name = _unquote_plus(name)
+                    value = _unquote_plus(value)
+                result[name] = value
+    except UnicodeDecodeError:
+        raise HttpError(400, "query string is not valid UTF-8") from None
     return result
 
 
 def _unquote_plus(component: str) -> str:
     if "+" in component:
         component = component.replace("+", " ")
-    return unquote(component) if "%" in component else component
+    return unquote(component, errors="strict") if "%" in component else component
 
 
 def parse_request(head: bytes) -> HttpRequest:

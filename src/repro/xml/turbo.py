@@ -23,6 +23,16 @@ CDATA, comments or PIs, one root element, and only predefined entity
 and valid character references.  A ``>`` inside an attribute value is
 legal XML but ends the tag body the scanner slices, so it restarts.
 
+Admission to the subset is proved before the walk from C-level passes
+only: ``str.find`` for ``<!``, ``<?`` and ``]]>`` after the XML
+declaration, and one pass for ``\\r`` and any character outside
+``Char`` — on ASCII text a length test after ``bytes.translate``
+deletes the C0 controls other than tab and line feed, on other text
+one search with a positive character class.  Only when that proof fails
+does the ``_HAZARD`` alternation search the text, to find the first
+hazard and name the restart after it; a document inside the subset
+never pays for the regex.
+
 The walk finds each ``<`` and the ``>`` after it with ``str.find`` and
 parses each distinct tag body once per tag memo, a dict the caller owns
 and keeps from one document to the next (a validator, or a typed
@@ -85,12 +95,22 @@ _XML_DECL = re.compile(
     rf"{_WS}*\?>"
 )
 
-#: anything that forces the event route, found in one pre-scan:
-#: markup declarations / PIs / CDATA / comments (``<!``, ``<?``),
-#: ``]]>`` (an error in content, legal only in constructs we restart on
-#: anyway), any ``\r`` (line-ending normalization), any character
-#: outside the XML Char production (identical illegality verdicts)
+#: anything that forces the event route: markup declarations / PIs /
+#: CDATA / comments (``<!``, ``<?``), ``]]>`` (an error in content,
+#: legal only in constructs we restart on anyway), any ``\r``
+#: (line-ending normalization), any character outside the XML Char
+#: production (identical illegality verdicts).  Searched only once
+#: :func:`_hazard_free` has failed, to name the first hazard.
 _HAZARD = re.compile(f"<[!?]|]]>|\r|[^{char_class()}]")
+
+#: the bytes of ASCII text that are ``\r`` or outside ``Char``: every C0
+#: control but tab and line feed.  Deleting them shortens the text
+#: exactly when it holds one.
+_ASCII_HAZARD_BYTES = bytes(byte for byte in range(0x20) if byte not in (0x09, 0x0A))
+
+#: the same characters in any text: ``_HAZARD``'s ``\r`` and ``[^Char]``
+#: as one positive class, which scans faster than a negated one
+_CHAR_HAZARD = re.compile(r"[\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]")
 
 #: restart reason per hazard, most specific prefix first
 _HAZARD_REASONS = (
@@ -210,14 +230,30 @@ def _subset_start(text: str) -> tuple[str, int]:
     declaration = _XML_DECL.match(text)
     if declaration is not None:
         pos = declaration.end()
-    hazard = _HAZARD.search(text, pos)
-    if hazard is not None:
+    if not _hazard_free(text, pos):
+        hazard = _HAZARD.search(text, pos)
         start = hazard.start()
         for prefix, reason in _HAZARD_REASONS:
             if text.startswith(prefix, start):
                 raise _Restart(reason)
         raise _Restart("illegal character")
     return text, pos
+
+
+def _hazard_free(text: str, pos: int) -> bool:
+    """Whether ``_HAZARD.search(text, pos)`` would find nothing, from
+    C-level passes only: three ``str.find`` calls and one character
+    pass.  The text before *pos* is an XML declaration inside the
+    subset, ASCII without control characters, so the character pass
+    may cover the whole text."""
+    if text.find("<!", pos) >= 0 or text.find("<?", pos) >= 0:
+        return False
+    if text.find("]]>", pos) >= 0:
+        return False
+    if text.isascii():
+        kept = text.encode("ascii").translate(None, _ASCII_HAZARD_BYTES)
+        return len(kept) == len(text)
+    return _CHAR_HAZARD.search(text) is None
 
 
 def _parse_tag(body: str) -> tuple:

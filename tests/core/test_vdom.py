@@ -8,7 +8,7 @@ import pytest
 from repro.core import bind
 from repro.core.vdom import TypedElement, VdomGroup, snake_case
 from repro.dom import Attr, Element, serialize
-from repro.errors import VdomStateError, VdomTypeError
+from repro.errors import DomError, VdomStateError, VdomTypeError
 from repro.xsd import SchemaValidator
 from repro.schemas import PURCHASE_ORDER_SCHEMA
 
@@ -232,6 +232,19 @@ class TestMutation:
         assert part_num.owner_element is item
         assert bogus.owner_element is None
         assert item.attributes.names() == ["partNum"]
+
+    def test_foreign_attribute_node_is_not_removed(self, full_po):
+        """The guard reaches the generic identity check: an equal node
+        that is not the element's own is NOT_FOUND, and nothing moves."""
+        own = full_po.get_attribute_node("orderDate")
+        with pytest.raises(
+            DomError, match="'orderDate' is not an attribute node of <purchaseOrder>"
+        ):
+            full_po.remove_attribute_node(Attr("orderDate", "1999-10-20"))
+        assert full_po.get_attribute_node("orderDate") is own
+        assert own.owner_element is full_po
+        assert full_po.order_date == datetime.date(1999, 10, 20)
+        full_po.check_valid()
 
     @pytest.mark.parametrize("through", ["element", "view"])
     def test_a_valid_attribute_node_replaces(self, full_po, through):

@@ -77,6 +77,20 @@ class TestAttrNodes:
         assert removed is attr
         assert not element.has_attribute("x")
 
+    def test_remove_foreign_attribute_node_is_not_found(self, doc):
+        """Only the element's own node goes: another node of the same
+        name, loose or owned by another element, is the DOM's NOT_FOUND."""
+        a, b = doc.create_element("a"), doc.create_element("b")
+        a.set_attribute("x", "1")
+        b.set_attribute("x", "2")
+        own = a.get_attribute_node("x")
+        for foreign in (doc.create_attribute("x", "9"), b.get_attribute_node("x")):
+            with pytest.raises(DomError, match="'x' is not an attribute node of <a>"):
+                a.remove_attribute_node(foreign)
+        assert a.get_attribute_node("x") is own and own.owner_element is a
+        assert b.get_attribute_node("x").owner_element is b
+        assert b.get_attribute("x") == "2"
+
     def test_named_node_map_iteration_order(self, doc):
         element = doc.create_element("a")
         for name in ("x", "y", "z"):

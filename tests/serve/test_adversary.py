@@ -3,7 +3,8 @@
 Each case pins what one connection does at an edge: pipelined requests,
 drip-fed and oversized heads, bodies shorter or longer than their
 ``Content-Length``, clients that hang up mid-body or never read, a
-connection queued behind the cap, and a pool worker killed under load.
+connection queued behind the cap, a pool worker killed under load, and
+a query escape that is not UTF-8.
 The server must keep answering, return 408 at ``request_timeout`` and
 leave no connection counted as active.
 
@@ -37,6 +38,9 @@ def routes(po_binding):
     table = RouteTable()
     table.add_template(
         "/item", Template(po_binding, "<quantity>$q$</quantity>")
+    )
+    table.add_template(
+        "/comment", Template(po_binding, "<comment>$text$</comment>")
     )
     table.add_page("/big", ServerPage(BIG_PAGE))
     return table
@@ -271,6 +275,25 @@ class TestHeads:
         data = asyncio.run(scenario())
         assert data.startswith(b"HTTP/1.1 400 Bad Request\r\n")
         assert data.endswith(b"truncated request head\n")
+
+
+class TestQueries:
+    def test_escape_that_is_not_utf8_gets_400(self, routes):
+        """A string hole is never filled with a U+FFFD the client did
+        not send: ill-formed UTF-8 in a query value is refused, as in a
+        body."""
+
+        async def scenario():
+            async with guarded(routes) as server:
+                refused = await get(server.port, "/comment?text=%FF")
+                served = await get(server.port, "/comment?text=%C3%A9")
+                return refused, served
+
+        (status, _, body), (ok, _, page) = asyncio.run(scenario())
+        assert status == 400
+        assert body.endswith(b"query string is not valid UTF-8\n")
+        assert ok == 200
+        assert page.startswith("<comment>\u00e9</comment>".encode())
 
 
 class TestBodies:

@@ -28,6 +28,7 @@ from repro.schemas import (
     PURCHASE_ORDER_INVALID_DOCUMENTS,
     PURCHASE_ORDER_SCHEMA,
 )
+from repro.xml import turbo
 from repro.xsd import StreamingValidator, parse_schema, parse_schema_file
 from repro.xsd.stream import error_entry
 from tests.integration import corpus_runner
@@ -181,6 +182,14 @@ RESTARTS = {
     "duplicate attribute": PURCHASE_ORDER_DOCUMENT.replace(
         _PO_ROOT, _PO_ROOT[:-1] + ' orderDate="1999-10-21">'
     ),
+    "processing instruction": PURCHASE_ORDER_DOCUMENT.replace(
+        "<items>", "<items><?picker fast?>"
+    ),
+    "markup declaration": PURCHASE_ORDER_DOCUMENT.replace(
+        "<items>", "<items><!ELEMENT x ANY>"
+    ),
+    "cdata end": PURCHASE_ORDER_DOCUMENT.replace("Lawnmower", "Lawn]]>mower"),
+    "illegal character": PURCHASE_ORDER_DOCUMENT.replace("Lawnmower", "Lawn\x01mower"),
 }
 
 _HURRY = "<comment>Hurry"
@@ -219,6 +228,22 @@ SCANNER_EDGES = {
     "self-closing root": (_PO_ROOT[:-1] + "/>", None),
     "trailing white space": (PURCHASE_ORDER_DOCUMENT + "\n \t\n", None),
     "trailing text": (PURCHASE_ORDER_DOCUMENT + "trailing", "text outside root"),
+    "lone surrogate": (
+        PURCHASE_ORDER_DOCUMENT.replace("Lawnmower", "Lawn\ud800mower"),
+        "illegal character",
+    ),
+    "noncharacter U+FFFE": (
+        PURCHASE_ORDER_DOCUMENT.replace("Lawnmower", "Lawn\ufffemower"),
+        "illegal character",
+    ),
+    "non-ASCII text": (
+        PURCHASE_ORDER_DOCUMENT.replace("Lawnmower", "Rasenmäher ☀ \U0001f33f"),
+        None,
+    ),
+    "delete character": (
+        PURCHASE_ORDER_DOCUMENT.replace("Lawnmower", "Lawn\x7fmower"),
+        None,
+    ),
 }
 
 
@@ -311,6 +336,35 @@ class TestScannerEdges:
 
         counters = _counters(ingest)
         assert counters[f"ingest.turbo{{outcome=restart,reason={reason}}}"] == 1
+
+
+#: the characters and strings the admission proof looks for, the ones
+#: next to them, and ASCII markup around them
+_ADMISSION_PIECES = st.sampled_from(
+    ["<!", "<?", "]]>", "]]", "]>", "<", "!", "?", "\r", "\r\n", "\t", "\n",
+     "\x00", "\x01", "\x08", "\x0b", "\x0c", "\x0e", "\x1f", "\x7f",
+     "\ud800", "\udbff", "\udc00", "\udfff", "\ufffd", "\ufffe", "\uffff",
+     "\U00010000", "é", "ß", "中", " ", "<a>", "</a>", '<b x="1"/>', "text",
+     "&amp;", '<?xml version="1.0"?>']
+)
+
+
+class TestAdmissionProof:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        declaration=st.sampled_from(
+            ["", '<?xml version="1.0"?>', '<?xml version="1.0" encoding="UTF-8"?>\n']
+        ),
+        pieces=st.lists(_ADMISSION_PIECES, max_size=16),
+    )
+    def test_proof_agrees_with_the_hazard_search(self, declaration, pieces):
+        """``_hazard_free`` says hazard-free exactly when ``_HAZARD``
+        finds nothing after the declaration, on ASCII and other text."""
+        text = declaration + "".join(pieces)
+        match = turbo._XML_DECL.match(text)
+        pos = match.end() if match is not None else 0
+        expected = turbo._HAZARD.search(text, pos) is None
+        assert turbo._hazard_free(text, pos) == expected, repr(text)
 
 
 # -- (b) generated documents -------------------------------------------------------
