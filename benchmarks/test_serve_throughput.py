@@ -17,10 +17,9 @@ Three scenarios, all sharing the same client machinery:
 * ``serve:hot_cache``  — a deliberately render-heavy route (hundreds
   of validated holes per page) served cold (``cache_entries=0``) and
   then hot (response cache enabled, same URL repeatedly).  The ratio
-  ``hot_over_cold`` is the PR 6 acceptance number, and the cached,
-  streamed-then-reassembled, and directly rendered bodies must all be
-  byte-identical — the cache and the chunked framing may change *how*
-  bytes move, never *which* bytes.
+  ``hot_over_cold`` is the PR 6 acceptance number, and the uncached,
+  cached and directly rendered bodies must all be byte-identical — the
+  cache may change *how* bytes are made, never *which* bytes.
 * ``serve:verdict_cache`` — ``POST /-/validate`` with the verdict cache
   on and off, on two workloads: *fresh* bodies, every one new (the
   cache only hashes, misses, stores and evicts), and *repeated* ones
@@ -138,23 +137,10 @@ def _heavy_routes(po_binding) -> RouteTable:
 async def _read_response(reader) -> bytes:
     head = await reader.readuntil(b"\r\n\r\n")
     length = 0
-    chunked = False
     for line in head.split(b"\r\n"):
-        lowered = line.lower()
-        if lowered.startswith(b"content-length:"):
+        if line.lower().startswith(b"content-length:"):
             length = int(line.split(b":", 1)[1])
-        elif lowered.startswith(b"transfer-encoding:") and b"chunked" in lowered:
-            chunked = True
-    if not chunked:
-        return await reader.readexactly(length)
-    pieces = []
-    while True:
-        size_line = await reader.readline()
-        size = int(size_line.strip(), 16)
-        payload = await reader.readexactly(size + 2)
-        if size == 0:
-            return b"".join(pieces)
-        pieces.append(payload[:-2])
+    return await reader.readexactly(length)
 
 
 async def _client_burst(port: int, count: int, target: str = TARGET) -> bytes:
@@ -234,8 +220,8 @@ async def _measure_concurrent(po_binding) -> dict:
         await server.drain()
 
 
-async def _measure_hot_cache(po_binding) -> tuple[dict, bytes, bytes, bytes]:
-    """Cold vs hot req/s on the heavy route, plus three bodies for parity."""
+async def _measure_hot_cache(po_binding) -> tuple[dict, bytes, bytes]:
+    """Cold vs hot req/s on the heavy route, plus both bodies for parity."""
     routes = _heavy_routes(po_binding)
 
     async def run_server(**options) -> tuple[float, bytes]:
@@ -261,9 +247,6 @@ async def _measure_hot_cache(po_binding) -> tuple[dict, bytes, bytes, bytes]:
 
     cold_rps, cold_body = await run_server(cache_entries=0)
     hot_rps, hot_body = await run_server()  # cache on (default)
-    # One streamed pass: _read_response de-chunks, so the returned body
-    # is directly comparable to the buffered ones.
-    _, streamed_body = await run_server(cache_entries=0, stream=True)
     result = {
         "cold_rps": round(cold_rps, 1),
         "hot_rps": round(hot_rps, 1),
@@ -273,7 +256,7 @@ async def _measure_hot_cache(po_binding) -> tuple[dict, bytes, bytes, bytes]:
         "response_bytes": len(cold_body),
         "floor_ratio": bench_floor("serve_hot_cache_ratio", QUICK),
     }
-    return result, cold_body, hot_body, streamed_body
+    return result, cold_body, hot_body
 
 
 async def _post_burst(port: int, bodies: list[bytes]) -> list[bytes]:
@@ -387,11 +370,10 @@ def test_concurrent_aggregate_throughput(po_binding):
 
 def test_hot_cache_ratio_and_three_way_parity(po_binding):
     expected = Template(po_binding, HEAVY_SOURCE).render_text(**HEAVY_VALUES)
-    result, cold, hot, streamed = asyncio.run(_measure_hot_cache(po_binding))
-    # Three-way parity: direct render, cached replay, de-chunked stream.
+    result, cold, hot = asyncio.run(_measure_hot_cache(po_binding))
+    # Three-way parity: direct render, uncached response, cached replay.
     assert cold == expected.encode("utf-8")
     assert hot == cold
-    assert streamed == cold
     RESULTS["serve:hot_cache"] = result
     floor = result["floor_ratio"]
     print(

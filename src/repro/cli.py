@@ -286,13 +286,6 @@ def main(argv: list[str] | None = None) -> int:
         "in entries each (default: %(default)s)",
     )
     serve_command.add_argument(
-        "--stream",
-        action="store_true",
-        help="answer template routes as Transfer-Encoding: chunked, "
-        "streaming precomputed static segments (holes are still "
-        "validated before the first byte)",
-    )
-    serve_command.add_argument(
         "--validate-pool",
         type=int,
         default=0,
@@ -581,7 +574,6 @@ def _dispatch(arguments: argparse.Namespace) -> int:
             cache_entries=(
                 arguments.cache_entries if arguments.response_cache else 0
             ),
-            stream=arguments.stream,
             schema=binding.schema,
             validate_pool=validate_pool,
         )
@@ -590,7 +582,6 @@ def _dispatch(arguments: argparse.Namespace) -> int:
             await server.start()
             # The "listening" line doubles as the readiness signal for
             # scripts that wait on our stdout before probing.
-            mode = "streamed" if server.stream else "buffered"
             cache_state = (
                 f"cache {server.cache.max_entries} entries"
                 if server.cache is not None
@@ -599,7 +590,7 @@ def _dispatch(arguments: argparse.Namespace) -> int:
             print(
                 f"serving {len(routes)} route(s) on "
                 f"http://{server.host}:{server.port}/ "
-                f"({mode}, {cache_state})",
+                f"({cache_state})",
                 flush=True,
             )
             for path in routes.paths():

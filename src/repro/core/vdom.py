@@ -517,6 +517,35 @@ class TypedElement(Element):
         self._guarded(lambda: self._append_value(child))
         return self
 
+    def clone_node(self, deep: bool = False) -> "TypedElement":
+        """A copy built by this element's own class, as
+        :meth:`Binding.from_dom` builds one, so the constructor's checks
+        hold for it: a shallow copy of an element whose content model
+        needs children raises :class:`VdomTypeError`.
+
+        A deep copy hands the constructor copies of the typed children
+        and the data of the text ones, then puts copies of comments and
+        processing instructions back where they stood.  The attributes
+        are the source's, in its order; a default it dropped stays off.
+        """
+        children = self._children if deep else ()
+        attributes = {name: attr.value for name, attr in self._attrs.items()}
+        for field in type(self)._ATTRIBUTE_FIELDS.values():
+            attributes.setdefault(field.xml_name or field.name, None)
+        clone = type(self)(
+            *(
+                node.clone_node(True) if isinstance(node, TypedElement) else node.data
+                for node in children
+                if isinstance(node, (TypedElement, Text))
+            ),
+            **attributes,
+        )
+        clone._attrs = {name: clone._attrs[name] for name in self._attrs}
+        for index, node in enumerate(children):
+            if not isinstance(node, (TypedElement, Text)):
+                Element._insert(clone, node.clone_node(True), index)
+        return clone
+
     # -- generic typed access --------------------------------------------------------
 
     def _child_by_names(self, names: frozenset[str]) -> TypedElement | None:

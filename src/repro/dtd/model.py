@@ -98,9 +98,6 @@ class ContentModel:
         assert self.particle is not None
         return self.particle.to_regex()
 
-    def allows_text(self) -> bool:
-        return self.kind in (ContentKind.MIXED, ContentKind.ANY)
-
     def __str__(self) -> str:
         if self.kind is ContentKind.EMPTY:
             return "EMPTY"
@@ -170,6 +167,3 @@ class Dtd:
 
     def attribute_definitions(self, element_name: str) -> dict[str, AttributeDefinition]:
         return self.attributes.get(element_name, {})
-
-    def declared_names(self) -> set[str]:
-        return set(self.elements)

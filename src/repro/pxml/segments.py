@@ -180,17 +180,12 @@ class SegmentProgram:
             if spec.kind == "element"
         )
 
-    def fill(self, values: dict[str, Any], check: bool) -> list[str]:
-        """Evaluate every dynamic segment; return the complete piece list.
+    def render(self, values: dict[str, Any], check: bool) -> str:
+        """Interpreted twin of the generated ``render_text`` function.
 
-        Static segments appear by reference (no copy), runs are emitted
-        (validated when *check*), element holes are serialized through
-        the iterative fast path.  The list exists only if every hole
-        value passed — which is what lets a caller stream pieces to a
-        socket one by one without risking a validation failure after
-        bytes have already left: ``"".join(fill(...))`` is exactly
-        ``render(...)``, and any error raises before the first piece is
-        handed out.
+        Static segments are emitted as compiled, runs are validated when
+        *check*, and element holes are serialized through the iterative
+        fast path.
         """
         pieces: list[str] = []
         for segment in self.segments:
@@ -200,11 +195,7 @@ class SegmentProgram:
                 write_node(values[segment.name], pieces)
             else:
                 pieces.append(segment.emit(values, check))
-        return pieces
-
-    def render(self, values: dict[str, Any], check: bool) -> str:
-        """Interpreted twin of the generated ``render_text`` function."""
-        return "".join(self.fill(values, check))
+        return "".join(pieces)
 
     def static_ratio(self) -> float:
         """Fraction of segments precomputed (for stats/inspection)."""

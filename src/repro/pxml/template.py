@@ -231,27 +231,6 @@ class Template:
 
         return serialize(self.render(**values))
 
-    def stream_text(self, /, **values: Any) -> list[str] | None:
-        """The ``render_text`` output as a list of pieces, or ``None``.
-
-        The pieces concatenate to exactly ``render_text(**values)`` —
-        static segments by reference, hole values validated and emitted —
-        but stay unjoined so a streaming caller (the serve tier's
-        chunked mode) can put precomputed static markup on the wire
-        without building the whole body first.  Every hole is validated
-        *before* the list is returned: an invalid value raises here,
-        while no byte has been committed, preserving the 422/400
-        semantics of the buffered path.
-
-        Returns ``None`` when this template has no segment program (the
-        DOM-fallback shapes, or a cached artifact whose program did not
-        survive rehydration) — those render only as whole strings.
-        """
-        if self._segments is None:
-            return None
-        obs.count("render.route", route="segment-stream")
-        return self._segments.fill(values, check=True)
-
     def render_document(self, /, **values: Any):
         """Render and wrap in a document (root must be global)."""
         return self.binding.document(self.render(**values))

@@ -9,9 +9,9 @@ markup straight to the socket, no DOM on the hot path.
 
 Layers:
 
-* :mod:`repro.serve.http` — minimal HTTP/1.1 request parsing, response
-  formatting (``Content-Length`` and chunked framing), strong ETags and
-  the ``If-None-Match`` comparison;
+* :mod:`repro.serve.http` — minimal HTTP/1.1 request parsing,
+  ``Content-Length``-framed response formatting, strong ETags and the
+  ``If-None-Match`` comparison;
 * :mod:`repro.serve.cache` — the bounded in-process caches of pure
   answers: pages keyed on ``(route fingerprint, typed hole values)``,
   ``POST /-/validate`` verdicts keyed on the body's SHA-256 digest;
@@ -19,9 +19,9 @@ Layers:
   compiler (``*.pxml`` / ``*.page`` sources to compiled routes, keyed
   through :class:`repro.cache.ReproCache`);
 * :mod:`repro.serve.server` — :class:`ReproServer`: response and
-  verdict caching, conditional GETs, chunked segment streaming, connection cap
-  with backpressure, per-request timeouts, graceful drain on SIGTERM,
-  and ``/-/stats`` observability.
+  verdict caching, conditional GETs, connection cap with backpressure,
+  per-request timeouts, graceful drain on SIGTERM, and ``/-/stats``
+  observability.
 
 ``vdom-generate serve <schema.xsd> <directory>`` is the CLI front end.
 """
@@ -37,7 +37,7 @@ from repro.serve.http import (
     parse_request,
 )
 from repro.serve.routes import Route, RouteTable, build_routes
-from repro.serve.server import ReproServer, serve
+from repro.serve.server import ReproServer
 
 __all__ = [
     "CachedResponse",
@@ -53,5 +53,4 @@ __all__ = [
     "etag_matches",
     "make_etag",
     "parse_request",
-    "serve",
 ]

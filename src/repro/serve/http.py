@@ -2,10 +2,9 @@
 
 Only what a page server needs, built on the stdlib alone: parse one
 request head (request line + headers) from the bytes the server's
-connection framed, format one response with a ``Content-Length`` body,
-and frame one response as ``Transfer-Encoding: chunked`` for the
-streaming mode.  Requests with bodies are read up to a small cap,
-everything else is rejected with a clear status code.
+connection framed and format one response with a ``Content-Length``
+body.  Requests with bodies are read up to a small cap, everything else
+is rejected with a clear status code.
 
 Request framing (RFC 9112 §6): a head is everything up to the first
 blank line and at most :data:`MAX_HEAD_BYTES` long (longer gets 431).
@@ -298,35 +297,6 @@ def not_modified_response(
         304, None, keep_alive=keep_alive, extra_headers=(("ETag", etag),)
     )
     return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
-
-
-def start_chunked_response(
-    status: int,
-    content_type: str = "text/plain; charset=utf-8",
-    *,
-    keep_alive: bool = True,
-    extra_headers: tuple[tuple[str, str], ...] = (),
-) -> bytes:
-    """The head of a ``Transfer-Encoding: chunked`` response.
-
-    No ``Content-Length`` — the body follows as :func:`encode_chunk`
-    frames terminated by :data:`LAST_CHUNK`, so writing can begin
-    before the total size is known.
-    """
-    lines = _head_lines(
-        status, content_type, keep_alive=keep_alive, extra_headers=extra_headers
-    )
-    lines.insert(2, "Transfer-Encoding: chunked")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
-
-
-def encode_chunk(data: bytes) -> bytes:
-    """One chunked-transfer frame: hex size, CRLF, data, CRLF."""
-    return b"%x\r\n%s\r\n" % (len(data), data)
-
-
-#: the zero-length chunk that terminates a chunked body (no trailers)
-LAST_CHUNK = b"0\r\n\r\n"
 
 
 def error_response(

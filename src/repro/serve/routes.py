@@ -109,23 +109,6 @@ class Route:
         obs.count("serve.fallback", route=self.name, reason="serverpage")
         return self._page.render(**params)
 
-    def stream(self, params: dict[str, str]) -> list[str] | None:
-        """Render as a validated piece list for chunked streaming.
-
-        Returns ``None`` when this route cannot stream — server pages
-        (no segment program, arbitrary code) and templates whose shape
-        fell back to the DOM route; the caller then uses
-        :meth:`render` buffered.  Hole errors raise here, before any
-        piece exists, so the server's 422/400 mapping is untouched.
-        """
-        if self._template is None:
-            return None
-        holes = self._hole_names
-        values = {
-            key: value for key, value in params.items() if key in holes
-        }
-        return self._template.stream_text(**values)
-
     def response_key(self, params: dict[str, str]) -> Hashable | None:
         """The response-cache key for *params*, or ``None``: uncacheable.
 

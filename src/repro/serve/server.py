@@ -26,13 +26,7 @@ can prove it does not have to:
   JSON of its verdict: a re-posted document costs a hash and a lookup,
   no decode, no walk and no pool round trip.  Both caches are sized by
   ``cache_entries`` and switched off with it; only pure answers (200
-  pages, 200/422 verdicts) are stored;
-* **streaming mode** — with ``stream=True``, template routes answer as
-  ``Transfer-Encoding: chunked``, writing precomputed static segments
-  to the socket piece by piece.  Holes are validated *before* the first
-  chunk is committed (the segment fill raises with zero bytes written),
-  so 422/400 semantics are identical to the buffered path; server
-  pages, HEAD, and HTTP/1.0 clients fall back to buffered responses.
+  pages, 200/422 verdicts) are stored.
 
 Operational behaviour:
 
@@ -79,29 +73,22 @@ from repro.errors import (
 )
 from repro.serve.cache import DEFAULT_MAX_ENTRIES, CachedResponse, ResponseCache
 from repro.serve.http import (
-    LAST_CHUNK,
     MAX_BODY_BYTES,
     MAX_HEAD_BYTES,
     HttpError,
     HttpRequest,
     build_response,
-    encode_chunk,
     error_response,
     etag_matches,
     make_etag,
     not_modified_response,
     parse_request,
-    start_chunked_response,
 )
 from repro.serve.routes import Route, RouteTable
 from repro.xsd.stream import StreamingValidator, text_verdict
 
 #: content type of every rendered page (they are XML by construction)
 PAGE_CONTENT_TYPE = "application/xml; charset=utf-8"
-
-#: streamed pieces are coalesced into chunks of at least this many bytes
-#: (per-chunk framing and drain cost would otherwise dominate tiny runs)
-STREAM_CHUNK_BYTES = 8 * 1024
 
 #: content type of the JSON answers: verdicts and ``/-/stats``
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
@@ -132,7 +119,6 @@ class ReproServer:
         max_connections: int = 64,
         request_timeout: float = 10.0,
         cache_entries: int = DEFAULT_MAX_ENTRIES,
-        stream: bool = False,
         schema: Any = None,
         validate_pool: Any = None,
     ):
@@ -148,8 +134,6 @@ class ReproServer:
         self.verdict_cache = (
             ResponseCache(cache_entries, name="verdict") if cache_entries else None
         )
-        #: chunked streaming of segment pieces for template routes
-        self.stream = stream
         #: schema backing ``POST /-/validate`` (table-driven streaming
         #: pre-check for incoming documents); ``None`` disables the route
         self.schema = schema
@@ -170,7 +154,6 @@ class ReproServer:
             "timeouts": 0,
             "bytes_sent": 0,
             "not_modified": 0,
-            "streamed": 0,
             "validated": 0,
             "pool_validated": 0,
             "draining": False,
@@ -313,11 +296,9 @@ class ReproServer:
 
     def _respond(
         self, request: HttpRequest, keep_alive: bool, body: bytes = b""
-    ) -> bytes | list[bytes] | asyncio.Task:
-        """One request to one response: complete bytes; for the
-        streaming mode, a list of ``[head, chunk..., last-chunk]``
-        parts the connection loop writes and drains one by one; or, for
-        a pooled ``POST /-/validate`` verdict, the task computing it."""
+    ) -> bytes | asyncio.Task:
+        """One request to one response: its complete bytes or, for a
+        pooled ``POST /-/validate`` verdict, the task computing them."""
         keep_alive = keep_alive and not self.stats["draining"]
         head_only = request.method == "HEAD"
         if request.path == "/-/validate":
@@ -352,7 +333,10 @@ class ReproServer:
         if route is None:
             self._record(None, 404)
             obs.count("serve.fallback", route="-", reason="no-route")
-            body = f"404 Not Found: no route for {request.path}\n".encode()
+            # Named as sent: the decoded path may hold a U+FFFD that
+            # stands for bytes the client did not send.
+            sent = request.target.partition("?")[0]
+            body = f"404 Not Found: no route for {sent}\n".encode()
             return build_response(
                 404, body, keep_alive=keep_alive, head_only=head_only
             )
@@ -375,22 +359,9 @@ class ReproServer:
                     keep_alive=keep_alive,
                     head_only=head_only,
                 )
-        pieces: list[str] | None = None
         try:
             with obs.timeit("serve.render", route=route.name):
-                # Streaming needs the segment piece list and HTTP/1.1
-                # chunked framing; HEAD has no body to stream.  Hole
-                # validation happens inside stream()/render() — before
-                # a single piece exists — so every error below arrives
-                # with no bytes committed.
-                if (
-                    self.stream
-                    and not head_only
-                    and request.version == "HTTP/1.1"
-                ):
-                    pieces = route.stream(params)
-                if pieces is None:
-                    text = route.render(params)
+                text = route.render(params)
         except _VALIDITY_ERRORS as error:
             # The page would have been schema-invalid; it is refused
             # whole instead of served broken.
@@ -415,25 +386,11 @@ class ReproServer:
                 reason=type(error).__name__,
             )
             return error_response(500, "page failed to render", keep_alive=False)
-        if pieces is not None:
-            encoded = [piece.encode("utf-8") for piece in pieces]
-            body = b"".join(encoded)
-        else:
-            encoded = None
-            body = text.encode("utf-8")
+        body = text.encode("utf-8")
         etag = make_etag(body)
         if key is not None:
             self.cache.put(key, body, etag, PAGE_CONTENT_TYPE)
         self._observe_latency(route.name, time.perf_counter() - started)
-        if encoded is not None:
-            if if_none_match and etag_matches(if_none_match, etag):
-                self._record(route.name, 304)
-                self.stats["not_modified"] += 1
-                return not_modified_response(etag, keep_alive=keep_alive)
-            self._record(route.name, 200)
-            self.stats["streamed"] += 1
-            obs.count("serve.stream", route=route.name)
-            return self._chunked_parts(encoded, etag, keep_alive)
         return self._finish(
             route,
             body,
@@ -565,7 +522,7 @@ class ReproServer:
         keep_alive: bool,
         head_only: bool,
     ) -> bytes:
-        """A buffered 200 with its validator, or a 304 when it matches."""
+        """A 200 with its validator, or a 304 when it matches."""
         if if_none_match and etag_matches(if_none_match, etag):
             self._record(route.name, 304)
             self.stats["not_modified"] += 1
@@ -579,40 +536,6 @@ class ReproServer:
             head_only=head_only,
             extra_headers=(("ETag", etag),),
         )
-
-    def _chunked_parts(
-        self, encoded: list[bytes], etag: str, keep_alive: bool
-    ) -> list[bytes]:
-        """Frame validated pieces as a chunked response part list.
-
-        Pieces are coalesced up to :data:`STREAM_CHUNK_BYTES` per chunk;
-        empty pieces are dropped (a zero-length chunk would terminate
-        the body early).  De-chunked, the body is byte-identical to the
-        buffered response.
-        """
-        parts = [
-            start_chunked_response(
-                200,
-                PAGE_CONTENT_TYPE,
-                keep_alive=keep_alive,
-                extra_headers=(("ETag", etag),),
-            )
-        ]
-        pending: list[bytes] = []
-        size = 0
-        for piece in encoded:
-            if not piece:
-                continue
-            pending.append(piece)
-            size += len(piece)
-            if size >= STREAM_CHUNK_BYTES:
-                parts.append(encode_chunk(b"".join(pending)))
-                pending.clear()
-                size = 0
-        if pending:
-            parts.append(encode_chunk(b"".join(pending)))
-        parts.append(LAST_CHUNK)
-        return parts
 
     def _observe_latency(self, route_name: str, seconds: float) -> None:
         self.stats.setdefault("render_seconds", 0.0)
@@ -630,7 +553,6 @@ class ReproServer:
                 "routes": self.routes.paths(),
                 "max_connections": self.max_connections,
                 "request_timeout": self.request_timeout,
-                "stream": self.stream,
                 "cache": (
                     self.cache.snapshot() if self.cache is not None else None
                 ),
@@ -893,30 +815,10 @@ class _Connection(asyncio.Protocol):
         self._write(error_response(status, message))
         self.close()
 
-    def _write(self, response: bytes | list[bytes]) -> bool:
+    def _write(self, response: bytes) -> bool:
         """Send *response*; whether its head lets the connection stay
         open.  A response that says ``Connection: close`` ends it."""
-        stats = self.server.stats
-        if isinstance(response, bytes):
-            head = response
-            self.transport.write(response)
-            stats["bytes_sent"] += len(response)
-        else:
-            # A streamed response: the head, then each coalesced chunk.
-            head = response[0]
-            for part in response:
-                self.transport.write(part)
-                stats["bytes_sent"] += len(part)
-        end = head.find(b"\r\n\r\n") + 2
-        return head.find(b"\r\nConnection: close\r\n", 0, end) < 0
-
-
-async def serve(
-    routes: RouteTable,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    **options: Any,
-) -> None:
-    """Convenience: build a :class:`ReproServer` and run it to drain."""
-    server = ReproServer(routes, host, port, **options)
-    await server.run()
+        self.transport.write(response)
+        self.server.stats["bytes_sent"] += len(response)
+        end = response.find(b"\r\n\r\n") + 2
+        return response.find(b"\r\nConnection: close\r\n", 0, end) < 0

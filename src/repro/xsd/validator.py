@@ -490,10 +490,3 @@ def validate(
 ) -> list[ValidationError]:
     """One-shot validation convenience."""
     return SchemaValidator(schema).validate(document)
-
-
-def type_of_element(
-    schema: Schema, element_name: str
-) -> TypeDefinition:
-    """The resolved type of a global element (helper for tooling)."""
-    return schema.element(element_name).resolved_type()

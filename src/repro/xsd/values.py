@@ -321,10 +321,6 @@ def canonical_decimal(value: decimal.Decimal) -> str:
     return text if "." in text else text + ".0"
 
 
-def canonical_integer(value: int) -> str:
-    return str(value)
-
-
 def canonical_float(value: float) -> str:
     if value != value:  # NaN
         return "NaN"

@@ -7,10 +7,11 @@ import pytest
 
 from repro.core import bind
 from repro.core.vdom import TypedElement, VdomGroup, snake_case
-from repro.dom import Attr, Element, serialize
+from repro.dom import Attr, Comment, Element, ProcessingInstructionNode, serialize
 from repro.errors import DomError, VdomStateError, VdomTypeError
+from repro.ingest import parse_typed
 from repro.xsd import SchemaValidator
-from repro.schemas import PURCHASE_ORDER_SCHEMA
+from repro.schemas import PURCHASE_ORDER_DOCUMENT, PURCHASE_ORDER_SCHEMA
 
 
 class TestSnakeCase:
@@ -340,6 +341,43 @@ class TestAdoptionSafety:
         assert ship_to.parent_node is second
         with pytest.raises(VdomTypeError):
             po.check_valid()  # deferred check still finds the hole
+
+
+class TestCloning:
+    """A clone is built by its source's own class, so the constructor's
+    checks hold for it and it keeps the generated API."""
+
+    @staticmethod
+    def classes(node):
+        return [type(node)] + [
+            kind for child in node.child_nodes for kind in TestCloning.classes(child)
+        ]
+
+    def test_deep_clone_keeps_every_class(self, po_binding):
+        po = parse_typed(po_binding, PURCHASE_ORDER_DOCUMENT)
+        # Nodes the constructor does not take, and a default taken off.
+        ship_to = po.ship_to
+        ship_to.remove_attribute("country")
+        ship_to.insert_before(Comment(" note "), ship_to.street)
+        ship_to.append_child(ProcessingInstructionNode("app", "x"))
+        clone = po.clone_node(True)
+        assert clone is not po
+        assert self.classes(clone) == self.classes(po)
+        assert type(clone).__name__ == "PurchaseOrderElement"
+        assert serialize(clone) == serialize(po)
+        assert not clone.ship_to.has_attribute("country")
+        clone.check_valid_deep()
+
+    def test_shallow_clone_of_a_simple_element_is_typed(self, po_binding):
+        po = parse_typed(po_binding, PURCHASE_ORDER_DOCUMENT)
+        clone = po.comment.clone_node()
+        assert type(clone) is po_binding.element_class("comment")
+        assert serialize(clone) == "<comment/>"
+
+    def test_shallow_clone_of_an_item_needs_its_children(self, po_binding):
+        po = parse_typed(po_binding, PURCHASE_ORDER_DOCUMENT)
+        with pytest.raises(VdomTypeError, match="incomplete"):
+            po.items.item_list[0].clone_node()
 
 
 class TestTypedAccess:

@@ -358,60 +358,3 @@ class TestFallbackAccounting:
         )
         with pytest.raises(RuntimeError, match="builder bug"):
             compile_segments(template.checked)
-
-
-class TestFillAndStream:
-    """The segment iteration API behind the serve tier's chunked mode."""
-
-    SHIP_TO = (
-        '<shipTo country="US"><name>$n$</name>'
-        "<street>123 Maple Street</street><city>Mill Valley</city>"
-        "<state>CA</state><zip>$z$</zip></shipTo>"
-    )
-
-    def test_fill_joins_to_render_text(self, po_binding):
-        template = Template(po_binding, self.SHIP_TO)
-        values = {"n": "Alice Smith", "z": "90952"}
-        pieces = template.stream_text(**values)
-        assert pieces is not None
-        assert "".join(pieces) == template.render_text(**values)
-
-    def test_static_pieces_are_shared_not_copied(self, po_binding):
-        template = Template(po_binding, self.SHIP_TO)
-        program = template._segments
-        statics = [s for s in program.segments if type(s) is str]
-        assert statics  # precomputed markup exists for this shape
-        pieces = template.stream_text(n="A", z="90952")
-        # Every precomputed static segment appears in the fill by
-        # reference — streaming reuses the compile-time strings.
-        piece_ids = {id(p) for p in pieces}
-        assert all(id(s) in piece_ids for s in statics)
-
-    def test_validation_errors_raise_before_any_piece_exists(
-        self, po_binding
-    ):
-        template = Template(po_binding, "<quantity>$q$</quantity>")
-        with pytest.raises(VdomTypeError, match="maxExclusive"):
-            template.stream_text(q="100")
-
-    def test_element_holes_serialize_into_pieces(self, po_binding):
-        template = Template(
-            po_binding, "<items>$i$</items>", param_types={"i": "item"}
-        )
-        item = po_binding.factory.create_item(
-            po_binding.factory.create_product_name("Rake"),
-            po_binding.factory.create_quantity(2),
-            po_binding.factory.create_us_price("12.95"),
-            part_num="123-AB",
-        )
-        pieces = template.stream_text(i=item)
-        assert "".join(pieces) == template.render_text(i=item)
-
-    def test_dom_fallback_shapes_return_none(self):
-        binding = bind(FIXED_ELEMENT_SCHEMA)
-        template = Template(
-            binding, "<doc><version>1.0</version><body>$b$</body></doc>"
-        )
-        assert template.stream_text(b="x") is None
-        # The buffered route still renders them.
-        assert "<body>x</body>" in template.render_text(b="x")

@@ -4,7 +4,7 @@ Each case pins what one connection does at an edge: pipelined requests,
 drip-fed and oversized heads, bodies shorter or longer than their
 ``Content-Length``, clients that hang up mid-body or never read, a
 connection queued behind the cap, a pool worker killed under load, and
-a query escape that is not UTF-8.
+path and query escapes that are not UTF-8.
 The server must keep answering, return 408 at ``request_timeout`` and
 leave no connection counted as active.
 
@@ -294,6 +294,25 @@ class TestQueries:
         assert body.endswith(b"query string is not valid UTF-8\n")
         assert ok == 200
         assert page.startswith("<comment>\u00e9</comment>".encode())
+
+    def test_unknown_path_is_named_as_sent(self, routes):
+        """A 404 quotes the target's path, not its lossy decoding (a
+        U+FFFD for ``%FF``) and not its query."""
+
+        async def scenario():
+            async with guarded(routes) as server:
+                return [
+                    await get(server.port, target)
+                    for target in ("/%FF", "/%FF?q=1", "/no%20such")
+                ]
+
+        answers = asyncio.run(scenario())
+        assert [status for status, _, _ in answers] == [404, 404, 404]
+        assert [body for _, _, body in answers] == [
+            b"404 Not Found: no route for /%FF\n",
+            b"404 Not Found: no route for /%FF\n",
+            b"404 Not Found: no route for /no%20such\n",
+        ]
 
 
 class TestBodies:

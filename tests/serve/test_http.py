@@ -155,16 +155,12 @@ class TestBuildResponse:
 
 class TestValidatorsAndDate:
     def test_every_builder_emits_a_date_header(self):
-        from repro.serve.http import (
-            not_modified_response,
-            start_chunked_response,
-        )
+        from repro.serve.http import not_modified_response
 
         for response in (
             build_response(200, b"x"),
             error_response(400, "bad"),
             not_modified_response('"e"'),
-            start_chunked_response(200),
         ):
             assert b"\r\nDate: " in response
             assert response.split(b"\r\nDate: ")[1].split(b"\r\n")[0].endswith(

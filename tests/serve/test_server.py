@@ -8,13 +8,29 @@ explicit and the suite dependency-free.
 import asyncio
 import contextlib
 import json
+import os
+from urllib.parse import urlencode
 
 import pytest
 
 from repro import obs
+from repro.core import bind
 from repro.pxml import Template
-from repro.serve import ReproServer, RouteTable
+from repro.serve import ReproServer, RouteTable, build_routes
 from repro.serverpages import ServerPage
+
+SITE_DIR = os.path.join(
+    os.path.dirname(__file__), "..", "..", "examples", "site"
+)
+
+#: one known-good request per ``examples/site`` route (index has no holes)
+SITE_REQUESTS = {
+    "/": {},
+    "/index": {},
+    "/ship_to": {"name": "Alice Smith"},
+    "/item": {"q": "7"},
+    "/legacy": {"who": "Bob"},
+}
 
 SHIP_TO = """\
 <shipTo country="US">
@@ -36,6 +52,12 @@ def routes(po_binding):
     table.add_page("/legacy", ServerPage("<b><%= who %></b>"))
     table.add_page("/crash", ServerPage("<% boom = 1 // 0 %>"))
     return table
+
+
+@pytest.fixture(scope="module")
+def site_routes():
+    with open(os.path.join(SITE_DIR, "purchase_order.xsd")) as handle:
+        return build_routes(bind(handle.read()), SITE_DIR)
 
 
 @contextlib.asynccontextmanager
@@ -77,18 +99,36 @@ async def get(port: int, target: str, method: str = "GET") -> tuple[int, dict, b
 
 
 class TestServing:
-    def test_response_bytes_match_direct_render_text(self, routes, po_binding):
+    def test_response_bytes_match_direct_render_text(
+        self, routes, po_binding, site_routes
+    ):
+        """Every page is one ``Content-Length``-framed body equal to its
+        direct render: ``/ship_to`` here and each ``examples/site``
+        route, server page included."""
         template = Template(po_binding, SHIP_TO)
 
         async def scenario():
             async with running(routes) as server:
-                return await get(server.port, "/ship_to?name=Alice%20Smith")
+                local = await get(server.port, "/ship_to?name=Alice%20Smith")
+            async with running(site_routes, cache_entries=0) as server:
+                site = {
+                    path: await get(server.port, f"{path}?{urlencode(params)}")
+                    for path, params in SITE_REQUESTS.items()
+                }
+            return local, site
 
-        status, headers, body = asyncio.run(scenario())
+        (status, headers, body), site = asyncio.run(scenario())
         assert status == 200
         assert headers["content-type"] == "application/xml; charset=utf-8"
         assert body == template.render_text(name="Alice Smith").encode()
         assert int(headers["content-length"]) == len(body)
+        for path, params in SITE_REQUESTS.items():
+            status, headers, body = site[path]
+            assert status == 200, path
+            assert "transfer-encoding" not in headers, path
+            assert int(headers["content-length"]) == len(body), path
+            direct = site_routes.resolve(path).render(params)
+            assert body == direct.encode("utf-8"), path
 
     def test_head_has_length_but_no_body(self, routes):
         async def scenario():
@@ -117,8 +157,12 @@ class TestServing:
 
         results = asyncio.run(scenario())
         assert results["missing-hole"][0] == 400
-        assert results["invalid-hole"][0] == 422
-        assert b"maxExclusive" in results["invalid-hole"][2]
+        status, headers, body = results["invalid-hole"]
+        # One whole 422 answer, and no page byte in front of it.
+        assert status == 422
+        assert b"maxExclusive" in body
+        assert "transfer-encoding" not in headers
+        assert int(headers["content-length"]) == len(body)
         assert results["no-route"][0] == 404
         assert results["bad-method"][0] == 405
         assert results["bad-method"][1]["allow"] == "GET, HEAD"
