@@ -10,11 +10,17 @@ This module collapses them into one: the content-model DFAs are stepped
 *while the document is being read*, and ``TypedElement`` nodes are
 allocated directly — no generic DOM is ever built and no second
 validation pass runs.  One set of typed handlers (:class:`_TypedWalk`:
-frame building, one content-model matcher per frame, and
+frame building, one content-model matcher per structured frame, and
 :func:`_construct`) does that work for both feeders: :func:`fused_parse`
 drives it from ``PullParser`` events, and
 :func:`~repro.ingest.table_driven.table_parse` from the turbo scanner
-(:func:`repro.xml.turbo.scan`).  The observable behaviour is identical
+(:func:`repro.xml.turbo.scan`).  The scanner hands a childless element
+below the root (``<a>text</a>`` without ``&``, or ``<a/>``) to one
+``leaf`` call; an attribute-free one of a simple type is built whole by
+:func:`_simple_element`, the branch :func:`_construct` takes for simple
+types, with no frame, and any other leaf goes through ``start`` /
+``characters`` / ``end``.  The event feeder makes only those three
+calls, so it stays the reference.  The observable behaviour is identical
 to ``binding.from_dom(parse_document(text).document_element)``:
 
 * the same typed classes are instantiated for the same declarations,
@@ -106,9 +112,10 @@ class _TypedWalk:
     ``start(name, attributes, where)``, ``end(where)`` and
     ``characters(data, where)`` take ``PullParser`` events
     (:func:`fused_parse`) and the turbo scanner's calls
-    (:func:`~repro.ingest.table_driven.table_parse`) alike; positions
-    are not needed, since typed-tree errors carry none.  After the last
-    ``end`` the typed tree is :attr:`root`.
+    (:func:`~repro.ingest.table_driven.table_parse`) alike, and ``leaf``
+    takes the scanner's childless elements; positions are not needed,
+    since typed-tree errors carry none.  After the last ``end`` the
+    typed tree is :attr:`root`.
 
     What the typed tree cannot hold is refused with
     :class:`~repro.errors.UnsupportedFeatureError`, where both
@@ -151,9 +158,7 @@ class _TypedWalk:
             # content model, so it admits no child element at all.
             declaration = frame.matcher.step(name) if frame.structured else None
             if declaration is None:
-                if frame.type_definition is ANY_TYPE:
-                    raise UnsupportedFeatureError(any_type_refusal(frame.tag))
-                raise VdomTypeError(f"<{name}> is not allowed inside <{frame.tag}>")
+                raise _misplaced(frame, name)
         else:
             declaration = self._schema.elements.get(name)
             if declaration is None:
@@ -187,6 +192,53 @@ class _TypedWalk:
                 frame.children.append(data)
         else:
             frame.text_parts.append(data)
+
+    def leaf(
+        self, name: str, attributes, data: str, where, data_where, end_where
+    ) -> None:
+        """``start``, ``characters`` (when *data* is not empty) and
+        ``end`` of one childless element below the root, in one call.
+
+        An element without attributes whose class has a simple type is
+        built whole by :func:`_simple_element`, the branch
+        :func:`_construct` takes for such a frame, with no frame of its
+        own; every other leaf goes through the general handlers.
+        """
+        if attributes:
+            self.start(name, attributes, where)
+            if data:
+                self.characters(data, data_where)
+            self.end(end_where)
+            return
+        stack = self._stack
+        frame = stack[-1]
+        declaration = frame.matcher.step(name) if frame.structured else None
+        if declaration is None:
+            raise _misplaced(frame, name)
+        info = self._dispatch.get(id(declaration))
+        if info is None:
+            info = _dispatch_info(self._schema, self._classes, declaration)
+            self._dispatch[id(declaration)] = info
+        cinfo = info[7]
+        if cinfo[3]:  # a simple type
+            frame.children.append(
+                _simple_element(
+                    self._binding, info[0], cinfo, data, (), self._use_tables
+                )
+            )
+            frame.element_count += 1
+            return
+        stack.append(_Frame(name, info, attributes, self._use_tables))
+        if data:
+            self.characters(data, data_where)
+        self.end(end_where)
+
+
+def _misplaced(frame: _Frame, name: str) -> Exception:
+    """Why no child <name> may stand inside *frame*."""
+    if frame.type_definition is ANY_TYPE:
+        return UnsupportedFeatureError(any_type_refusal(frame.tag))
+    return VdomTypeError(f"<{name}> is not allowed inside <{frame.tag}>")
 
 
 def legacy_parse(binding: Binding, text: str, source: str | None = None):
@@ -361,6 +413,15 @@ def _construct(binding: Binding, frame: _Frame, use_tables: bool) -> TypedElemen
         leaf,
         accepted,
     ) = frame.cinfo
+    if is_simple:
+        return _simple_element(
+            binding,
+            cls,
+            frame.cinfo,
+            "".join(frame.text_parts),
+            frame.attributes,
+            use_tables,
+        )
     if abstract_error is not None:
         raise VdomTypeError(abstract_error)
     element = cls.__new__(cls)
@@ -415,22 +476,7 @@ def _construct(binding: Binding, frame: _Frame, use_tables: bool) -> TypedElemen
             attrs[key] = trusted_attr(key, value, ref, None)
 
     if binding.validate_on_mutate:
-        if is_simple:
-            # Leaf frame: ``start`` refused child elements, so only the
-            # attribute and value checks of ``_check_simple`` can fire.
-            if attrs:
-                raise VdomTypeError(
-                    f"<{tag}> has a simple type and may not "
-                    "carry attributes"
-                )
-            if not use_tables or (accepted is not None and data not in accepted):
-                try:
-                    (leaf.check if use_tables else leaf.parse)(data)
-                except SimpleTypeError as error:
-                    raise VdomTypeError(
-                        f"content of <{tag}>: {error.message}"
-                    )
-        elif not is_any:
+        if not is_any:
             matcher = frame.matcher
             if matcher is not None and type_definition is frame.type_definition:
                 # The live automaton already accepted every child in
@@ -491,11 +537,52 @@ def _construct(binding: Binding, frame: _Frame, use_tables: bool) -> TypedElemen
         if fixed is not None:
             content = data if not frame.structured else element.text_content
             if content != fixed:
-                raise VdomTypeError(
-                    f"element '{tag}' must have the fixed "
-                    f"value {fixed!r}"
-                )
+                raise _not_fixed(tag, fixed)
     return element
+
+
+def _simple_element(
+    binding: Binding, cls, cinfo: tuple, data: str, attributes, use_tables: bool
+) -> TypedElement:
+    """The typed element of a simple type holding text *data*.
+
+    :func:`_construct`'s branch for such a frame, and what
+    :meth:`_TypedWalk.leaf` builds an attribute-free leaf with: ``start``
+    refused child elements, so only the checks of ``_check_simple`` on
+    attributes and value, and the fixed value, can fire.  A simple type
+    declares no attribute, so any attribute but a namespace declaration
+    is refused as the typed constructor refuses it.
+    """
+    tag, abstract_error, _, _, _, fixed, _, _, leaf, accepted = cinfo
+    if abstract_error is not None:
+        raise VdomTypeError(abstract_error)
+    element = cls.__new__(cls)
+    element._owner_document = None
+    element._parent_ref = None
+    element._tag_name = tag
+    element._attrs = {}
+    if data:
+        node = Text(data, None)
+        node._parent_ref = weakref.ref(element)
+        element._children = [node]
+    else:
+        element._children = []
+    for name, _ in attributes:
+        if not name.startswith("xmlns"):
+            element._attribute_field(name)  # raises "has no attribute"
+    if binding.validate_on_mutate:
+        if not use_tables or (accepted is not None and data not in accepted):
+            try:
+                (leaf.check if use_tables else leaf.parse)(data)
+            except SimpleTypeError as error:
+                raise VdomTypeError(f"content of <{tag}>: {error.message}")
+        if fixed is not None and data != fixed:
+            raise _not_fixed(tag, fixed)
+    return element
+
+
+def _not_fixed(tag: str, fixed: str) -> VdomTypeError:
+    return VdomTypeError(f"element '{tag}' must have the fixed value {fixed!r}")
 
 
 def _build_attr_tables(cls) -> tuple[dict[str, str], tuple[tuple[str, str], ...]]:

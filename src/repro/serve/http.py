@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import time
 from email.utils import formatdate
-from urllib.parse import unquote, urlsplit
+from urllib.parse import unquote
 
 from repro.errors import ReproError
 
@@ -177,9 +177,13 @@ def parse_request(head: bytes) -> HttpRequest:
     if not target.startswith("/"):
         # Absolute-form targets (proxy requests) are out of scope.
         raise HttpError(400, f"unsupported request target {target!r}")
-    split = urlsplit(target)
-    path = unquote(split.path)
-    query = parse_query(split.query)
+    # Origin form (RFC 9112 §3.2.1) is absolute-path [ "?" query ], so
+    # the path is everything before the first '?', a leading "//"
+    # included (urlsplit would read "//seg" as an authority and route
+    # the rest).  A fragment is not part of a target; it is dropped.
+    path, _, query = target.partition("#")[0].partition("?")
+    path = unquote(path)
+    query = parse_query(query)
     headers: dict[str, str] = {}
     for line in lines[1:]:
         if not line:

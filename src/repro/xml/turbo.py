@@ -7,12 +7,15 @@ through :class:`~repro.xml.parser.PullParser` events: typed ingest
 :func:`scan`, which drives a sink's ``start(name, attributes, offset)``,
 ``end(offset)`` and ``characters(data, offset)`` handlers — the same
 calls the consumers make from ``StartElement`` / ``EndElement`` /
-``Characters`` events.  Every subset decision lives here, so both lanes
-leave the subset at the same places and for the same reasons: on any
-construct outside it :func:`scan` raises :class:`_Restart`, and the
-caller re-runs the document through the event parser, which produces
-the authoritative result — same verdicts, same
-:class:`~repro.errors.XmlSyntaxError`, same
+``Characters`` events — and one more, ``leaf``, that stands for all
+three on the commonest shape: a childless element below the root,
+written as a start tag, character data without ``&`` and its own exact
+``</name>``, or as a self-closing tag.  Every subset decision lives
+here, so both lanes leave the subset at the same places and for the
+same reasons: on any construct outside it :func:`scan` raises
+:class:`_Restart`, and the caller re-runs the document through the
+event parser, which produces the authoritative result — same verdicts,
+same :class:`~repro.errors.XmlSyntaxError`, same
 :class:`~repro.errors.Location`.
 
 The subset is chosen so that everything it accepts is well-formed XML
@@ -33,13 +36,13 @@ does the ``_HAZARD`` alternation search the text, to find the first
 hazard and name the restart after it; a document inside the subset
 never pays for the regex.
 
-The walk finds each ``<`` and the ``>`` after it with ``str.find`` and
-parses each distinct tag body once per tag memo, a dict the caller owns
-and keeps from one document to the next (a validator, or a typed
-binding); repeated tags cost one dict probe.  A memo holds at most
-:data:`TAG_MEMO_ENTRIES` bodies of at most :data:`TAG_BODY_LIMIT`
-characters; a full memo stops inserting, and what it holds keeps
-hitting.  Offsets count characters after a leading byte-order mark, as
+The walk finds each ``<`` once, and the ``>`` after it, with
+``str.find``, and parses each distinct tag body once per tag memo, a
+dict the caller owns and keeps from one document to the next (a
+validator, or a typed binding); repeated tags cost one dict probe.  A
+memo holds at most :data:`TAG_MEMO_ENTRIES` bodies of at most
+:data:`TAG_BODY_LIMIT` characters; a full memo stops inserting, and
+what it holds keeps hitting.  Offsets count characters after a leading byte-order mark, as
 the event parser's locations do.
 
 This module depends on nothing beyond the XML character model, so
@@ -144,14 +147,26 @@ def scan(text: str, sink, tags: dict[str, tuple]) -> None:
     (``attributes`` is a sequence of ``(name, value)`` pairs; the memo
     hands every repeat of a body it holds the same tuple, and a body it
     does not hold gets a fresh list), ``end(offset)`` for every end tag
-    and right after the ``start`` of a self-closing tag, and
+    and right after the ``start`` of a self-closing root, and
     ``characters(data, offset)`` for each text run inside the root
     element, references decoded and joined into the one run the event
     parser reports as a ``Characters`` event.  Offsets point at the
     ``<`` of a tag (for a self-closing tag's ``end``, its own ``<``) and
-    the first character of a run.  Exceptions raised by the handlers
-    propagate unchanged.  *tags* is the caller's tag memo: body ->
-    ``(name, attributes, kind)``, pure results only.
+    the first character of a run.
+
+    A leaf inside the root gets one call instead of those three:
+    ``leaf(name, attributes, data, where, data_where, end_where)``.  A
+    leaf is a start tag, character data holding no ``&``, and its own
+    end tag written exactly ``</name>``; or a self-closing tag, whose
+    *data* is empty and whose *end_where* is its own ``<``.  A sink
+    must make ``leaf`` equal to ``start``, ``characters`` (when *data*
+    is not empty) and ``end`` at those offsets.  Text with a reference
+    takes the three calls, so a restart on the reference still comes
+    before any handler sees the element's end.
+
+    Exceptions raised by the handlers propagate unchanged.  *tags* is
+    the caller's tag memo: body -> ``(name, attributes, kind, close)``,
+    pure results only.
 
     A walk that completes saw a well-formed document, so the calls made
     are the document's whole event stream; a :class:`_Restart` may come
@@ -162,13 +177,13 @@ def scan(text: str, sink, tags: dict[str, tuple]) -> None:
     start = sink.start
     end = sink.end
     characters = sink.characters
+    leaf = sink.leaf
     find = text.find
+    startswith = text.startswith
     open_names: list[str] = []
     seen_root = False
-    while True:
-        lt = find("<", pos)
-        if lt < 0:
-            break
+    lt = find("<", pos)
+    while lt >= 0:
         if lt > pos:
             data = text[pos:lt]
             if open_names:
@@ -190,25 +205,42 @@ def scan(text: str, sink, tags: dict[str, tuple]) -> None:
                 if tag[1]:
                     # Every repeat gets this body's attributes: a tuple,
                     # so no handler can change them for the next one.
-                    tag = (tag[0], tuple(tag[1]), tag[2])
+                    tag = (tag[0], tuple(tag[1]), tag[2], tag[3])
                 tags[body] = tag
                 room -= 1
         pos = gt + 1
-        name, attributes, kind = tag
+        name, attributes, kind, close = tag
         if kind == _END:
             if not open_names or open_names.pop() != name:
                 raise _Restart("tag mismatch")
             end(lt)
-            continue
-        if not open_names:
+        elif not open_names:
             if seen_root:
                 raise _Restart("multiple root elements")
             seen_root = True
-        start(name, attributes, lt)
-        if kind == _EMPTY:
-            end(lt)
+            start(name, attributes, lt)
+            if kind == _EMPTY:
+                end(lt)
+            else:
+                open_names.append(name)
+        elif kind == _EMPTY:
+            leaf(name, attributes, "", lt, pos, lt)
         else:
+            # The next '<' either closes this element as a leaf or is
+            # where the walk goes on: it is found once either way.
+            after = find("<", pos)
+            if after >= 0 and startswith(close, after):
+                data = text[pos:after]
+                if "&" not in data:
+                    leaf(name, attributes, data, lt, pos, after)
+                    pos = after + len(close)
+                    lt = find("<", pos)
+                    continue
+            start(name, attributes, lt)
             open_names.append(name)
+            lt = after
+            continue
+        lt = find("<", pos)
     if open_names:
         raise _Restart("unclosed element")
     if not seen_root:
@@ -257,20 +289,21 @@ def _hazard_free(text: str, pos: int) -> bool:
 
 
 def _parse_tag(body: str) -> tuple:
-    """``(name, attributes, kind)`` of the tag written ``<body>``."""
+    """``(name, attributes, kind, close)`` of the tag written ``<body>``;
+    *close* is the exact end tag ``</name>`` of a start tag, else None."""
     match = _TAG_BODY.fullmatch(body)
     if match is None:
         # Every construct outside the tag grammar, including a '>'
         # inside an attribute value (the body then ends early).
         raise _Restart("tokenizer")
     if match[1] is not None:
-        return match[1], None, _END
+        return match[1], None, _END, None
+    name = match[2]
     blob = match[3]
-    return (
-        match[2],
-        _attribute_pairs(blob) if blob else (),
-        _EMPTY if match[4] else _START,
-    )
+    attributes = _attribute_pairs(blob) if blob else ()
+    if match[4]:
+        return name, attributes, _EMPTY, None
+    return name, attributes, _START, "</" + name + ">"
 
 
 def _attribute_pairs(blob: str) -> list[tuple[str, str]]:

@@ -11,7 +11,14 @@ One walker does the validity work: the ``start`` / ``characters`` /
 ``end`` handlers of a per-document ``_Walk`` take a lexical name,
 attribute pairs and a position, keep the namespace scopes and the open
 frames, and with the validator's ``_push`` hold every validity check
-and every message once.  Two feeders drive it:
+and every message once.  A fourth handler, ``leaf``, takes a childless
+element below the root in one call (the turbo scanner's shape for
+``<a>text</a>`` without ``&`` and for ``<a/>``): it steps the parent's
+content model, and when the element has no attributes and its facts
+leave only the text to check (``_Facts.text_only``), it checks the text
+against the accepted-literal memo and the fixed value with no frame and
+no scope pushed; any other leaf goes through the three handlers.  Two
+feeders drive the walker:
 
 * **the turbo feeder** (:meth:`StreamingValidator.validate_text`) is
   the turbo scanner, :func:`repro.xml.turbo.scan` (shared with typed
@@ -25,7 +32,9 @@ and every message once.  Two feeders drive it:
   feeder, so syntax errors and their precedence over validity errors
   stay exactly as :class:`~repro.xml.parser.PullParser` reports them.
 * **the event feeder** (:meth:`StreamingValidator.validate_events`)
-  turns any ``PullParser`` event stream into the same calls.
+  turns any ``PullParser`` event stream into ``start`` / ``characters``
+  / ``end`` calls; it never calls ``leaf``, so it stays the reference
+  the turbo feeder is held to.
 
 Schema facts — content type, content model, effective attribute uses,
 the simple type checking the text, the fixed value, the abstract flag —
@@ -119,6 +128,7 @@ class _Facts:
         "fixed",
         "collects",
         "text_kind",
+        "text_only",
     )
 
     def __init__(
@@ -184,6 +194,12 @@ class _Facts:
             if use_tables and self.check is not None:
                 self.accepted = self.simple.accepted
         self.collects = self.check is not None or self.fixed is not None
+        #: an element of these facts with no attributes and no children
+        #: has nothing left to check but its text: no content model, no
+        #: required attribute, no abstract type, nothing skipped
+        self.text_only = not (
+            self.model is not None or self.required or self.abstract or self.skip
+        )
 
 
 def _literal_check(simple: SimpleType, use_tables: bool):
@@ -292,31 +308,80 @@ class _Walk:
         if parent is _SKIP:
             stack.append(_SKIP)
             return
-        if parent.matcher is None:
-            # Parent has empty or simple content: no child allowed.
-            self.error(
-                f"<{key}> is not allowed inside <{parent.facts.name}>",
-                where,
-                self.path(),
-            )
-            stack.append(_SKIP)
-            return
-        matched = parent.matcher.step(key)
+        matcher = parent.matcher
+        matched = None if matcher is None else matcher.step(key)
         if matched is None:
-            expected = (
-                ", ".join(f"<{key_}>" for key_ in parent.matcher.expected())
-                or "no further elements"
-            )
-            self.error(
-                f"<{key}> is not allowed here inside <{parent.facts.name}>; "
-                f"expected {expected}",
-                where,
-                self.path(),
-            )
+            self._misplaced(key, parent, where)
             stack.append(_SKIP)
             return
         assert isinstance(matched, ElementDeclaration)
         validator._push(matched, key, attributes, where, scope, self)
+
+    def leaf(
+        self, name: str, attributes, data: str, where, data_where, end_where
+    ) -> None:
+        """``start``, ``characters`` (when *data* is not empty) and
+        ``end`` of one childless element below the root, in one call.
+
+        The parent's content model steps here.  An element without
+        attributes whose facts are ``text_only`` has nothing left to
+        check but its text: that is checked at once, against the
+        accepted-literal memo first, with no frame and no scope pushed.
+        Every other leaf goes through the general handlers.
+        """
+        parent = self.stack[-1]
+        if parent is _SKIP:
+            return
+        if attributes:
+            self.start(name, attributes, where)
+            if data:
+                self.characters(data, data_where)
+            self.end(end_where)
+            return
+        validator = self._validator
+        scope = self._scopes[-1]
+        key = scope.elements.get(name)
+        if key is None:
+            key = validator._element_key(name, scope.bindings)
+            _remember(scope.elements, name, key)
+        matcher = parent.matcher
+        matched = None if matcher is None else matcher.step(key)
+        if matched is None:
+            self._misplaced(key, parent, where)
+            return
+        facts = validator._facts.get(id(matched))
+        if facts is None or not facts.text_only:
+            self._scopes.append(scope)
+            validator._push(matched, key, attributes, where, scope, self)
+            if data:
+                self.characters(data, data_where)
+            self.end(end_where)
+            return
+        if facts.text_kind is not None and data.strip(WHITESPACE):
+            self._refuse_text(facts, data_where, self.path(key))
+            data = ""
+        if facts.collects:
+            accepted = facts.accepted
+            if facts.fixed is not None or accepted is None or data not in accepted:
+                self._check_text(facts, key, data, end_where)
+
+    def _misplaced(self, key: str, parent: _Frame, where) -> None:
+        """Record that no child <key> may stand here inside *parent*
+        (whose matcher, if any, refused the step and kept its state)."""
+        matcher = parent.matcher
+        if matcher is None:
+            # Parent has empty or simple content: no child allowed.
+            message = f"<{key}> is not allowed inside <{parent.facts.name}>"
+        else:
+            expected = (
+                ", ".join(f"<{key_}>" for key_ in matcher.expected())
+                or "no further elements"
+            )
+            message = (
+                f"<{key}> is not allowed here inside <{parent.facts.name}>; "
+                f"expected {expected}"
+            )
+        self.error(message, where, self.path())
 
     def characters(self, data: str, where) -> None:
         stack = self.stack
@@ -327,14 +392,16 @@ class _Walk:
             return
         facts = frame.facts
         if facts.text_kind is not None and data.strip(WHITESPACE):
-            self.error(
-                f"<{facts.name}> has {facts.text_kind} but contains text",
-                where,
-                self.path(),
-            )
+            self._refuse_text(facts, where, self.path())
             return
         if facts.collects:
             frame.text.append(data)
+
+    def _refuse_text(self, facts: _Facts, where, path: str) -> None:
+        """Record text inside an element whose content admits none."""
+        self.error(
+            f"<{facts.name}> has {facts.text_kind} but contains text", where, path
+        )
 
     def end(self, where) -> None:
         """Close the innermost element; *where* is its end tag (the tag
@@ -352,9 +419,13 @@ class _Walk:
                 where,
                 self.path(frame.key),
             )
-        if not facts.collects:
-            return
-        text = "".join(frame.text)
+        if facts.collects:
+            self._check_text(facts, frame.key, "".join(frame.text), where)
+
+    def _check_text(self, facts: _Facts, key: str, text: str, where) -> None:
+        """The end-of-element check of an element's whole *text*: its
+        simple type (skipped for a literal the type accepted before)
+        and its fixed value; *where* is the end tag."""
         check = facts.check
         if check is not None:
             accepted = facts.accepted
@@ -365,14 +436,14 @@ class _Walk:
                     self.error(
                         f"content of <{facts.name}>: {error.message}",
                         where,
-                        self.path(frame.key),
+                        self.path(key),
                     )
         if facts.fixed is not None and text != facts.fixed:
             self.error(
                 f"element '{facts.name}' must have the "
                 f"fixed value {facts.fixed!r}",
                 where,
-                self.path(frame.key),
+                self.path(key),
             )
 
     def path(self, leaf: str | None = None) -> str:

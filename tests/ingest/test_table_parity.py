@@ -13,10 +13,16 @@ not just clean ones.
 """
 
 import pytest
+from hypothesis import given, settings
 
 from repro.core import bind
 from repro.dom.serialize import serialize
-from repro.errors import ReproError, XmlSyntaxError
+from repro.errors import (
+    ReproError,
+    UnsupportedFeatureError,
+    VdomTypeError,
+    XmlSyntaxError,
+)
 from repro.ingest import (
     fused_parse,
     legacy_parse,
@@ -29,12 +35,22 @@ from repro.schemas import (
     PURCHASE_ORDER_SCHEMA,
     XHTML_SUBSET_SCHEMA,
 )
+from repro.ingest.fused import _TypedWalk
 from repro.schemas.purchase_order import PURCHASE_ORDER_INVALID_DOCUMENTS
+from repro.xml import turbo
 from repro.xsd import StreamingValidator, parse_schema
 from tests.xml.test_line_endings import CRLF_PURCHASE_ORDER, GOLDEN
 from tests.xml.test_parser import _expansion_bomb
 from tests.xml.test_scanner_parity import ILL_FORMED, WELL_FORMED
-from tests.xsd.test_stream_turbo import SCANNER_EDGES
+from tests.xsd.test_stream_turbo import (
+    LEAF_CASES,
+    LEAF_SCHEMA,
+    SCANNER_EDGES,
+    SplitLeaves,
+    _counters,
+    leaf_documents,
+    purchase_orders,
+)
 
 XHTML_DOCUMENT = """\
 <html>
@@ -77,6 +93,7 @@ def _assert_parity(binding, text):
         lambda b, t: fused_parse(b, t, use_tables=False), binding, text
     )
     assert _outcome(table_parse, binding, text) == golden
+    assert_leaf_calls_split(binding, text)
 
 
 class TestScannerParityCorpus:
@@ -170,3 +187,102 @@ class TestScannerEdges:
         (record,) = report["files"]
         assert record["error_type"] == "XmlSyntaxError"
         assert message in record["error"]
+
+
+# -- the scanner's leaf call ---------------------------------------------------------
+
+BINDINGS = {"po": bind(PURCHASE_ORDER_SCHEMA), "leaf": bind(LEAF_SCHEMA)}
+
+
+def typed_walk_outcome(binding, text, split=False):
+    """One turbo walk of *text* into the typed handlers, without the
+    fused route behind it: the tree with each element's class and
+    incremental-append state, the refusal, or the restart."""
+    walk = _TypedWalk(binding, use_tables=True)
+    try:
+        turbo.scan(text, SplitLeaves(walk) if split else walk, {})
+    except turbo._Restart as restart:
+        return ("restart", restart.reason)
+    except (VdomTypeError, UnsupportedFeatureError) as error:
+        return (type(error).__name__, str(error))
+    elements = [walk.root, *walk.root.iter_descendants()]
+    return (
+        "ok",
+        serialize(walk.root),
+        [
+            (type(node).__name__, node._content_state)
+            for node in elements
+            if hasattr(node, "_content_state")
+        ],
+    )
+
+
+def assert_leaf_calls_split(binding, text):
+    """The typed ``leaf`` call gives what its three calls give: the
+    same tree, the same exception and message, or the same restart."""
+    whole = typed_walk_outcome(binding, text)
+    assert whole == typed_walk_outcome(binding, text, split=True), text
+    return whole
+
+
+class TestLeafPath:
+    @pytest.mark.parametrize("name", sorted(LEAF_CASES))
+    def test_parity(self, name):
+        _assert_parity(BINDINGS["leaf"], LEAF_CASES[name][0])
+
+    @pytest.mark.parametrize("name", sorted(LEAF_CASES))
+    def test_restart_reasons(self, name):
+        """``ingest.turbo`` counts the walk's outcome: a hit, the
+        restart ``xsd.stream`` names, or a validation restart when a
+        typed check refused the document before the scanner left its
+        subset."""
+        text, reason = LEAF_CASES[name]
+        binding = BINDINGS["leaf"]
+
+        def ingest():
+            try:
+                table_parse(binding, text)
+            except ReproError:
+                pass  # only the lane counter is of interest here
+
+        routes = {
+            key: value for key, value in _counters(ingest).items()
+            if key.startswith("ingest.turbo{")
+        }
+        kind, detail = assert_leaf_calls_split(binding, text)[:2]
+        if kind == "ok":
+            assert reason is None
+            assert routes == {"ingest.turbo{outcome=hit}": 1}
+        elif kind == "restart":
+            assert detail == reason
+            assert routes == {f"ingest.turbo{{outcome=restart,reason={reason}}}": 1}
+        else:
+            assert routes == {"ingest.turbo{outcome=restart,reason=validation}": 1}
+
+    def test_cases_reach_the_typed_leaf(self):
+        """Guard the fixed cases: typed leaves are built, refused on
+        their value and fixed value, and refused as misplaced."""
+        outcomes = [
+            assert_leaf_calls_split(BINDINGS["leaf"], text)
+            for text, _ in LEAF_CASES.values()
+        ]
+        messages = " ".join(str(outcome[1]) for outcome in outcomes)
+        assert any(outcome[:2] == ("ok", "<n>77</n>") for outcome in outcomes)
+        for fragment in (
+            "is above maxInclusive",
+            "must have the fixed value 'on'",
+            "is not a valid integer literal",
+            "is not allowed inside <n>",
+        ):
+            assert fragment in messages, fragment
+
+
+class TestGeneratedDocuments:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        purchase_orders().map(lambda text: ("po", text))
+        | leaf_documents().map(lambda text: ("leaf", text))
+    )
+    def test_table_route_matches_reference_route(self, document):
+        kind, text = document
+        _assert_parity(BINDINGS[kind], text)

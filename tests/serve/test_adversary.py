@@ -314,6 +314,32 @@ class TestQueries:
             b"404 Not Found: no route for /no%20such\n",
         ]
 
+    def test_double_slash_target_is_no_authority(self, routes):
+        """A target starting with ``//`` names its whole path: it is not
+        routed by what follows a made-up authority, and a bracket that
+        is no IPv6 literal is an unknown path, not a failed request."""
+
+        async def scenario():
+            async with guarded(routes) as server:
+                return [
+                    await get(server.port, target)
+                    for target in (
+                        "//evil/item?q=1",
+                        "//x/-/stats",
+                        "//item",
+                        "//[x/item",
+                    )
+                ]
+
+        answers = asyncio.run(scenario())
+        assert [status for status, _, _ in answers] == [404, 404, 404, 404]
+        assert [body for _, _, body in answers] == [
+            b"404 Not Found: no route for //evil/item\n",
+            b"404 Not Found: no route for //x/-/stats\n",
+            b"404 Not Found: no route for //item\n",
+            b"404 Not Found: no route for //[x/item\n",
+        ]
+
 
 class TestBodies:
     def test_short_body_then_eof_gets_408(self, routes, schema):

@@ -32,6 +32,27 @@ class TestParseRequest:
     def test_percent_encoded_path(self):
         assert _parse("GET /a%20b HTTP/1.1").path == "/a b"
 
+    @pytest.mark.parametrize(
+        "target, path, query",
+        [
+            ("//evil/ship_to?name=A", "//evil/ship_to", {"name": "A"}),
+            ("//x/-/stats", "//x/-/stats", {}),
+            ("//ship_to", "//ship_to", {}),
+            ("//[x/ship_to", "//[x/ship_to", {}),
+            ("/ship_to?next=//evil/x", "/ship_to", {"next": "//evil/x"}),
+            ("/a?b=1#part", "/a", {"b": "1"}),
+            ("/a#part?b=1", "/a", {}),
+        ],
+    )
+    def test_origin_form_target_splits_at_the_first_question_mark(
+        self, target, path, query
+    ):
+        """The path is the target up to its first '?', so a leading
+        ``//`` is part of it, not an authority; a fragment is dropped."""
+        request = _parse(f"GET {target} HTTP/1.1")
+        assert (request.path, request.query) == (path, query)
+        assert request.target == target
+
     def test_header_names_lowercase_values_stripped(self):
         request = _parse("GET / HTTP/1.1\r\nX-ThInG:   padded value  ")
         assert request.headers["x-thing"] == "padded value"

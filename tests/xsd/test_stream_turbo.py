@@ -30,7 +30,7 @@ from repro.schemas import (
 )
 from repro.xml import turbo
 from repro.xsd import StreamingValidator, parse_schema, parse_schema_file
-from repro.xsd.stream import error_entry
+from repro.xsd.stream import _Walk, error_entry
 from tests.integration import corpus_runner
 from tests.xml.test_line_endings import CRLF_PURCHASE_ORDER, GOLDEN, TestAttributeValues
 from tests.xml.test_scanner_parity import ILL_FORMED, WELL_FORMED
@@ -56,6 +56,87 @@ SCANNER_SCHEMA = """
 """
 
 
+#: a schema whose elements take each branch of the scanner's leaf call:
+#: simple types with and without a facet, a fixed value, empty and
+#: simple content with fixed, defaulted and required attributes,
+#: element-only content with and without required children, mixed and
+#: ``anyType`` content, ``xsi:type`` derivation and an abstract type.
+#: ``x`` has empty content and a fixed value, which both validators
+#: compare with the text that content admits: none.
+LEAF_SCHEMA = """
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="doc">
+    <xsd:complexType>
+      <xsd:choice minOccurs="0" maxOccurs="unbounded">
+        <xsd:element name="n" type="small"/>
+        <xsd:element name="s" type="xsd:string"/>
+        <xsd:element name="d" type="xsd:date"/>
+        <xsd:element name="f" type="xsd:string" fixed="on"/>
+        <xsd:element name="e" type="emptyType"/>
+        <xsd:element name="k" type="measured"/>
+        <xsd:element name="r" type="required"/>
+        <xsd:element name="g" type="group"/>
+        <xsd:element name="o" type="optionalGroup"/>
+        <xsd:element name="m" type="mixedGroup"/>
+        <xsd:element name="w" type="xsd:anyType"/>
+        <xsd:element name="t" type="base"/>
+        <xsd:element name="a" type="abstractType"/>
+        <xsd:element name="x" type="emptyType" fixed="y"/>
+      </xsd:choice>
+    </xsd:complexType>
+  </xsd:element>
+  <xsd:element name="n" type="small"/>
+  <xsd:simpleType name="small">
+    <xsd:restriction base="xsd:integer">
+      <xsd:minInclusive value="0"/>
+      <xsd:maxInclusive value="99"/>
+    </xsd:restriction>
+  </xsd:simpleType>
+  <xsd:complexType name="emptyType"/>
+  <xsd:complexType name="measured">
+    <xsd:simpleContent>
+      <xsd:extension base="small">
+        <xsd:attribute name="unit" type="xsd:string" fixed="m"/>
+        <xsd:attribute name="scale" type="xsd:integer" default="1"/>
+      </xsd:extension>
+    </xsd:simpleContent>
+  </xsd:complexType>
+  <xsd:complexType name="required">
+    <xsd:attribute name="id" type="xsd:NMTOKEN" use="required"/>
+  </xsd:complexType>
+  <xsd:complexType name="group">
+    <xsd:sequence>
+      <xsd:element name="n" type="small"/>
+      <xsd:element name="s" type="xsd:string" minOccurs="0"/>
+    </xsd:sequence>
+  </xsd:complexType>
+  <xsd:complexType name="optionalGroup">
+    <xsd:sequence>
+      <xsd:element name="n" type="small" minOccurs="0"/>
+    </xsd:sequence>
+  </xsd:complexType>
+  <xsd:complexType name="mixedGroup" mixed="true">
+    <xsd:sequence>
+      <xsd:element name="n" type="small" minOccurs="0" maxOccurs="unbounded"/>
+    </xsd:sequence>
+  </xsd:complexType>
+  <xsd:complexType name="base">
+    <xsd:simpleContent>
+      <xsd:extension base="xsd:string"/>
+    </xsd:simpleContent>
+  </xsd:complexType>
+  <xsd:complexType name="derived">
+    <xsd:simpleContent>
+      <xsd:extension base="base">
+        <xsd:attribute name="note" type="xsd:string"/>
+      </xsd:extension>
+    </xsd:simpleContent>
+  </xsd:complexType>
+  <xsd:complexType name="abstractType" abstract="true"/>
+</xsd:schema>
+"""
+
+
 def _family_schema(family):
     return parse_schema_file(
         os.path.join(corpus_runner.CORPUS_DIR, family, "schema", "main.xsd")
@@ -65,6 +146,7 @@ def _family_schema(family):
 SCHEMAS = {
     "po": parse_schema(PURCHASE_ORDER_SCHEMA),
     "scanner": parse_schema(SCANNER_SCHEMA),
+    "leaf": parse_schema(LEAF_SCHEMA),
     **{family: _family_schema(family) for family, _ in corpus_runner.iter_cases()},
 }
 TURBO = {name: StreamingValidator(schema) for name, schema in SCHEMAS.items()}
@@ -84,8 +166,11 @@ def outcome(validator, text):
 
 
 def assert_parity(schema, text):
+    """The turbo route gives the reference route's verdict, and each of
+    the scanner's ``leaf`` calls gives what its three calls give."""
     turbo = outcome(TURBO[schema], text)
     assert turbo == outcome(REFERENCE[schema], text), text
+    assert_leaf_calls_split(schema, text)
     return turbo
 
 
@@ -336,6 +421,196 @@ class TestScannerEdges:
 
         counters = _counters(ingest)
         assert counters[f"ingest.turbo{{outcome=restart,reason={reason}}}"] == 1
+
+
+# -- the scanner's leaf call ------------------------------------------------------
+
+#: one document per boundary of the leaf call -> the restart reason the
+#: turbo lane gives it (None when the scanner walks it to the end)
+LEAF_CASES = {
+    "empty pair": ("<doc>\n  <n></n><s></s><e></e>\n</doc>", None),
+    "white space under element-only content": (
+        "<doc>\n  <o> \n </o><o>\n</o><o>x</o><e> </e>\n</doc>",
+        None,
+    ),
+    "predefined and character references": (
+        "<doc><s>a&amp;b</s><n>&#53;</n><n>&#x35;0</n><f>o&#110;</f></doc>",
+        None,
+    ),
+    "undeclared entity": ("<doc><n>500</n><s>&nbsp;</s></doc>", "entity reference"),
+    "end tag with a space": (
+        "<doc><n>5</n ><n>500</n\n><s>x</s\t></doc>",
+        None,
+    ),
+    "self-closing": ("<doc>\n  <n/><s/><e/><f/><o/><k/><t/>\n</doc>", None),
+    "childless root": ("<n>77</n>", None),
+    "childless root out of range": ("<n>777</n>", None),
+    "empty root pair": ("<doc></doc>", None),
+    "self-closing root": ("<doc/>", None),
+    "under a skipped parent": (
+        "<doc><zz><n>x</n><s/></zz><w><n>500</n><q/></w><w/></doc>",
+        None,
+    ),
+    "children required": ("<doc>\n  <g></g>\n  <g/>\n  <g><n>1</n></g>\n</doc>", None),
+    "namespace declarations": (
+        '<doc><n xmlns="">5</n><s xmlns:p="urn:p">x</s><n xmlns="urn:x">5</n></doc>',
+        None,
+    ),
+    "xsi:type": (
+        f'<doc xmlns:xsi="{XSI}"><t xsi:type="derived">x</t>'
+        '<t xsi:type="base"/><t xsi:type="nope">y</t>'
+        '<n xsi:type="small">5</n><s xsi:type="small">x</s></doc>',
+        None,
+    ),
+    "undeclared xsi prefix": ('<doc><t xsi:type="derived" note="n">x</t></doc>', None),
+    "fixed and default attributes": (
+        '<doc><k>5</k><k unit="m" scale="2">7</k><k unit="q">9</k>'
+        '<k scale="x">1</k><f>on</f><f>off</f><f/></doc>',
+        None,
+    ),
+    "fixed value": ("<doc><f>on</f><f>off</f><f/></doc>", None),
+    "facets": ("<doc>\n<n>500</n>\n<d>2001-13-01</d><k>-1</k><n> 7 </n></doc>", None),
+    "abstract, required and undeclared attributes": (
+        '<doc><a></a><r/><r id="x"></r><r id="a b"/><n bogus="1">5</n></doc>',
+        None,
+    ),
+    "text in empty content": (
+        '<doc><e>x</e><r id="i">y</r><g>z</g><x>y</x><x> </x><x/></doc>',
+        None,
+    ),
+    "padded values": (
+        "<doc><n> 7 </n><s> x </s><d>\n2001-02-03 </d><k> 5</k><f>on</f></doc>",
+        None,
+    ),
+    "leaf under simple content": ("<doc><n><s/></n><k>1<n>2</n></k></doc>", None),
+    "leaves in mixed content": ("<doc><m>a<n>1</n>b<n></n><n>100</n>c</m></doc>", None),
+    "unclosed leaf": ("<doc><n>5</doc>", "tag mismatch"),
+    "leaf at the end of the text": ("<doc><n>5", "unclosed element"),
+}
+
+
+class SplitLeaves:
+    """A sink that takes each leaf as the ``start``, ``characters`` and
+    ``end`` calls it stands for: the scanner's calls without ``leaf``."""
+
+    def __init__(self, sink):
+        self.start = sink.start
+        self.characters = sink.characters
+        self.end = sink.end
+
+    def leaf(self, name, attributes, data, where, data_where, end_where):
+        self.start(name, attributes, where)
+        if data:
+            self.characters(data, data_where)
+        self.end(end_where)
+
+
+def walk_outcome(schema, text, split=False):
+    """One turbo walk of *text*, without the event route behind it: its
+    errors, or the reason it left the subset."""
+    walk = _Walk(TURBO[schema], text)
+    try:
+        turbo.scan(text, SplitLeaves(walk) if split else walk, {})
+    except turbo._Restart as restart:
+        return ("restart", restart.reason)
+    return ("errors", [(error_entry(error), str(error)) for error in walk.errors])
+
+
+def assert_leaf_calls_split(schema, text):
+    """The ``leaf`` call gives what its three calls give: the same
+    errors (message, line, column, path), or the same restart."""
+    whole = walk_outcome(schema, text)
+    assert whole == walk_outcome(schema, text, split=True), text
+    return whole
+
+
+class TestLeafPath:
+    @pytest.mark.parametrize("name", sorted(LEAF_CASES))
+    def test_parity(self, name):
+        assert_parity("leaf", LEAF_CASES[name][0])
+
+    @pytest.mark.parametrize("name", sorted(LEAF_CASES))
+    def test_routes(self, name):
+        """The turbo lane leaves the subset at the same place, for the
+        same reason, whether a leaf is one call or three."""
+        text, reason = LEAF_CASES[name]
+        counters = _counters(lambda: outcome(TURBO["leaf"], text))
+        routes = {
+            key: value for key, value in counters.items()
+            if key.startswith("xsd.stream{")
+        }
+        if reason is None:
+            assert routes == {"xsd.stream{lane=turbo}": 1}
+        else:
+            assert routes == {f"xsd.stream{{outcome=restart,reason={reason}}}": 1}
+            assert walk_outcome("leaf", text, split=True) == ("restart", reason)
+
+    def test_cases_reach_each_branch(self):
+        """Guard the fixed cases: they hold errors from the leaf's text,
+        attribute, content-model and skip branches."""
+        messages = " ".join(
+            message
+            for text, reason in LEAF_CASES.values()
+            if reason is None
+            for _, message in walk_outcome("leaf", text)[1]
+        )
+        for fragment in (
+            "is above maxInclusive",
+            "must have the fixed value 'on'",
+            "has empty content but contains text",
+            "has element-only content but contains text",
+            "ends too early",
+            "is abstract",
+            "required attribute 'id' missing",
+            "of simple type may not carry attributes",
+            "xsi:type names unknown type",
+            "is not allowed here inside <doc>",
+            "<s> is not allowed inside <n>",
+        ):
+            assert fragment in messages, fragment
+
+
+#: text a generated leaf holds: literals in and out of its type's
+#: lexical space, white space, and every kind of reference
+_LEAF_TEXT = st.sampled_from(
+    ["", " ", "\n  ", "5", "42", "500", "-1", " 7 ", "x", "on", "off",
+     "2001-02-03", "2001-13-01", "a&amp;b", "&#53;", "&#x35;&#x30;", "&lt;",
+     "&nbsp;", "&;"]
+)
+_LEAF_ATTRIBUTES = st.sampled_from(
+    ["", "", "", ' unit="m"', ' unit="q"', ' scale="2"', ' id="x"',
+     ' xmlns=""', ' xmlns:p="urn:p"', ' xsi:type="derived"', ' xsi:type="small"',
+     f' xmlns:xsi="{XSI}" xsi:type="derived"', ' note="n"', ' bogus="1"']
+)
+
+
+@st.composite
+def _leaf(draw):
+    name = draw(st.sampled_from("nsdfekrgomwtaxz"))
+    attributes = draw(_LEAF_ATTRIBUTES)
+    shape = draw(st.sampled_from(["pair", "pair", "self-closing", "spaced end"]))
+    if shape == "self-closing":
+        return f"<{name}{attributes}/>"
+    end = f"</{name} >" if shape == "spaced end" else f"</{name}>"
+    return f"<{name}{attributes}>{draw(_LEAF_TEXT)}{end}"
+
+
+@st.composite
+def leaf_documents(draw):
+    """``LEAF_SCHEMA`` documents made mostly of childless elements, some
+    under a mixed, ``anyType``, element-only, simple-content or
+    undeclared parent."""
+    separator = draw(st.sampled_from(["", "\n  "]))
+    children = []
+    for _ in range(draw(st.integers(0, 8))):
+        leaves = separator.join(draw(st.lists(_leaf(), min_size=1, max_size=3)))
+        parent = draw(
+            st.sampled_from([None, None, None, "m", "w", "g", "o", "k", "zz"])
+        )
+        children.append(leaves if parent is None else f"<{parent}>{leaves}</{parent}>")
+    if not children and draw(st.booleans()):
+        return draw(_leaf().filter(lambda leaf: leaf.startswith(("<n>", "<n/", "<n "))))
+    return f"<doc>{separator}{separator.join(children)}{separator}</doc>"
 
 
 #: the characters and strings the admission proof looks for, the ones
@@ -619,7 +894,7 @@ def documents(draw):
 
 class TestGeneratedDocuments:
     @settings(max_examples=200, deadline=None)
-    @given(documents())
+    @given(documents() | leaf_documents().map(lambda text: ("leaf", text)))
     def test_turbo_route_matches_reference_route(self, document):
         family, text = document
         assert_parity(family, text)
