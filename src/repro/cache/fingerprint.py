@@ -32,7 +32,9 @@ from typing import Any
 #: holes with no simple type (mixed or ``anyType`` content) are checked
 #: for characters outside XML's ``Char``, so a format-6 source, which
 #: wrote them unchecked, must not be replayed.
-CACHE_FORMAT_VERSION = 7
+#: 8: an empty ``fixed`` or ``default`` value (``fixed=""``) is kept as a
+#: constraint; a format-7 schema artifact holds ``None`` for it.
+CACHE_FORMAT_VERSION = 8
 
 
 def _library_version() -> str:

@@ -77,9 +77,9 @@ class _Generator:
         self._type_keys: dict[int, str] = {}
         self._group_keys: dict[int, str] = {}
         self._element_keys: dict[int, str] = {}
-        #: (element name, type identity) -> interface key, for local
-        #: declaration deduplication
-        self._local_by_signature: dict[tuple[str, int], str] = {}
+        #: (element name, type identity, fixed value) -> interface key,
+        #: for local declaration deduplication
+        self._local_by_signature: dict[tuple[str, int, str | None], str] = {}
 
     def run(self) -> InterfaceModel:
         for name in self._schema.types:
@@ -419,10 +419,14 @@ class _Generator:
             if canonical is not declaration:
                 return self._element_interface(canonical, owner_key=None)
         if owner_key is not None and declaration.type_definition is not None:
-            # Deduplicate local declarations that agree on name and type
-            # (e.g. WML's <br> inside several choice groups): one
-            # interface, one class, one factory method.
-            signature = (declaration.name, id(declaration.type_definition))
+            # Deduplicate local declarations that agree on name, type
+            # and fixed value (e.g. WML's <br> inside several choice
+            # groups): one interface, one class, one factory method.
+            signature = (
+                declaration.name,
+                id(declaration.type_definition),
+                declaration.fixed,
+            )
             existing_key = self._local_by_signature.get(signature)
             if existing_key is not None:
                 existing = self._model[existing_key]
@@ -449,7 +453,7 @@ class _Generator:
         self._model.add(interface)
         if owner_key is not None and declaration.type_definition is not None:
             self._local_by_signature[
-                (declaration.name, id(declaration.type_definition))
+                declaration.name, id(declaration.type_definition), declaration.fixed
             ] = key
         if declaration.substitution_group:
             head = self._schema.element(declaration.substitution_group)

@@ -108,13 +108,18 @@ class TypedElement(Element):
 
     Subclasses carry class-level metadata installed by :func:`bind`:
     ``_DECLARATION`` (the schema element declaration), ``_TYPE`` (its
-    resolved type), ``_BINDING`` (the owning :class:`Binding`).
+    resolved type), ``_BINDING`` (the owning :class:`Binding`), and the
+    attribute and abstract tables the constructor, typed ingest and the
+    P-XML segment builder read (:func:`_class_tables`).
     """
 
     _DECLARATION: ElementDeclaration
     _TYPE: Any
     _BINDING: "Binding"
     _ATTRIBUTE_FIELDS: dict[str, Field]  # python name -> field
+    _ATTRIBUTE_KEYS: dict[str, str]  # accepted spelling -> attribute key
+    _ATTRIBUTE_DEFAULTS: tuple[tuple[str, str], ...]  # (key, fixed/default)
+    _ABSTRACT: str | None  # why the class may not be built, or None
 
     #: incremental-append cache: (element-child count, total node count,
     #: DFA state) as of the last successful full content check; cleared
@@ -123,25 +128,20 @@ class TypedElement(Element):
     _content_state: tuple[int, int, int] | None = None
 
     def __init__(self, *children: Any, **attribute_values: Any):
-        declaration = type(self)._DECLARATION
-        if declaration.abstract:
-            raise VdomTypeError(
-                f"element '{declaration.name}' is abstract; construct a "
-                "member of its substitution group instead"
-            )
-        type_definition = type(self)._TYPE
-        if isinstance(type_definition, ComplexType) and type_definition.abstract:
-            raise VdomTypeError(
-                f"type '{type_definition.name}' of element "
-                f"'{declaration.name}' is abstract"
-            )
-        super().__init__(declaration.name, None)
+        cls = type(self)
+        if cls._ABSTRACT is not None:
+            raise VdomTypeError(cls._ABSTRACT)
+        super().__init__(cls._DECLARATION.name, None)
         for child in children:
             self._append_value(child)
-        self._apply_attribute_defaults()
-        for python_name, value in attribute_values.items():
-            field = self._attribute_field(python_name)
-            self._set_typed_attribute(field, value)
+        for key, literal in cls._ATTRIBUTE_DEFAULTS:
+            Element.set_attribute(self, key, literal)
+        keys = cls._ATTRIBUTE_KEYS
+        for name, value in attribute_values.items():
+            key = keys.get(name)
+            if key is None:
+                raise unknown_attribute(cls, name)
+            self._set_typed_attribute(key, value)
         self._check()
 
     # -- constructor helpers ------------------------------------------------
@@ -173,34 +173,12 @@ class TypedElement(Element):
                 f"<{self.tag_name}>"
             )
 
-    def _apply_attribute_defaults(self) -> None:
-        for field in type(self)._ATTRIBUTE_FIELDS.values():
-            if field.fixed is not None:
-                Element.set_attribute(self, field.xml_name or field.name, field.fixed)
-            elif field.default is not None:
-                Element.set_attribute(
-                    self, field.xml_name or field.name, field.default
-                )
-
-    def _attribute_field(self, python_name: str) -> Field:
-        fields = type(self)._ATTRIBUTE_FIELDS
-        if python_name in fields:
-            return fields[python_name]
-        # Also accept the literal XML attribute name.
-        for field in fields.values():
-            if field.xml_name == python_name or field.name == python_name:
-                return field
-        raise VdomTypeError(
-            f"<{self.tag_name}> has no attribute '{python_name}' "
-            f"(known: {', '.join(sorted(fields)) or 'none'})"
-        )
-
-    def _set_typed_attribute(self, field: Field, value: Any) -> None:
+    def _set_typed_attribute(self, key: str, value: Any) -> None:
         if value is None:
-            Element.remove_attribute(self, field.xml_name or field.name)
+            Element.remove_attribute(self, key)
             return
         literal = value if isinstance(value, str) else self._lexicalize(value)
-        Element.set_attribute(self, field.xml_name or field.name, literal)
+        Element.set_attribute(self, key, literal)
 
     # -- validation -----------------------------------------------------------
 
@@ -716,6 +694,13 @@ class Binding:
             "_TAG_PARTS": ("<" + tag, "</" + tag + ">"),
         }
         self._install_properties(interface, namespace)
+        namespace.update(
+            _class_tables(
+                interface.declaration,
+                interface.type_definition,
+                namespace["_ATTRIBUTE_FIELDS"],
+            )
+        )
         cls = type(name, tuple(bases), namespace)
         self.classes[interface.key] = cls
         self.class_names[interface.key] = name
@@ -1033,6 +1018,53 @@ class Binding:
             f"Binding({len(self._global_elements)} global elements, "
             f"{len(self.classes)} classes)"
         )
+
+
+def _class_tables(
+    declaration: ElementDeclaration, type_definition, fields: dict[str, Field]
+) -> dict[str, Any]:
+    """The tables every typed builder reads, built once per class.
+
+    ``_ATTRIBUTE_KEYS`` maps each accepted spelling to its attribute key:
+    python names win, then the first field (in field order) whose XML
+    name or name matches.  ``_ATTRIBUTE_DEFAULTS`` holds ``(key, fixed
+    or default value)`` in field order.  ``_ABSTRACT`` is the refusal of
+    an abstract declaration or type, or None.
+    """
+    keys = {name: field.xml_name or field.name for name, field in fields.items()}
+    defaults = []
+    for field in fields.values():
+        key = field.xml_name or field.name
+        for spelling in (field.xml_name, field.name):
+            if spelling:
+                keys.setdefault(spelling, key)
+        value = field.default if field.fixed is None else field.fixed
+        if value is not None:
+            defaults.append((key, value))
+    abstract = None
+    if declaration.abstract:
+        abstract = (
+            f"element '{declaration.name}' is abstract; construct a "
+            "member of its substitution group instead"
+        )
+    elif isinstance(type_definition, ComplexType) and type_definition.abstract:
+        abstract = (
+            f"type '{type_definition.name}' of element "
+            f"'{declaration.name}' is abstract"
+        )
+    return {
+        "_ATTRIBUTE_KEYS": keys,
+        "_ATTRIBUTE_DEFAULTS": tuple(defaults),
+        "_ABSTRACT": abstract,
+    }
+
+
+def unknown_attribute(cls: type, name: str) -> VdomTypeError:
+    """The refusal of attribute *name*, which no field of *cls* accepts."""
+    return VdomTypeError(
+        f"<{cls._DECLARATION.name}> has no attribute '{name}' "
+        f"(known: {', '.join(sorted(cls._ATTRIBUTE_FIELDS)) or 'none'})"
+    )
 
 
 def any_type_refusal(tag: str) -> str:

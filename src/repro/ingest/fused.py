@@ -20,8 +20,18 @@ below the root (``<a>text</a>`` without ``&``, or ``<a/>``) to one
 :func:`_simple_element`, the branch :func:`_construct` takes for simple
 types, with no frame, and any other leaf goes through ``start`` /
 ``characters`` / ``end``.  The event feeder makes only those three
-calls, so it stays the reference.  The observable behaviour is identical
-to ``binding.from_dom(parse_document(text).document_element)``:
+calls, so it stays the reference.
+
+Nothing a declaration asks of an element is derived here.  Each frame
+holds the verdict walker's facts of its declaration
+(:class:`repro.xsd.stream._Facts`: content model, text check with its
+accepted-literal memo, required attributes, fixed value, the
+``xs:anyType`` skip), derived once per declaration and route and
+memoized on the binding beside the declaration's class; each generated
+class carries the bind-time tables the typed constructor reads too:
+attribute spellings, fixed and default values in order, and the
+abstract refusal.  The observable behaviour is identical to
+``binding.from_dom(parse_document(text).document_element)``:
 
 * the same typed classes are instantiated for the same declarations,
 * the same tree shape results (text-node granularity, CDATA flattening,
@@ -48,14 +58,17 @@ from repro.errors import SimpleTypeError, UnsupportedFeatureError, VdomTypeError
 from repro.dom.attr import trusted_attr
 from repro.dom.builder import parse_document
 from repro.dom.charnodes import Text
-from repro.core.vdom import Binding, TypedElement, any_type_refusal, refuse_xsi_type
+from repro.core.vdom import (
+    Binding,
+    TypedElement,
+    any_type_refusal,
+    refuse_xsi_type,
+    unknown_attribute,
+)
 from repro.xml.chars import WHITESPACE
 from repro.xml.events import Characters, EndElement, StartElement
 from repro.xml.parser import PullParser
-from repro.xsd.components import ANY_TYPE, ComplexType, ContentType
-from repro.xsd.simple import SimpleType
-
-_STRUCTURED = (ContentType.ELEMENT_ONLY, ContentType.MIXED)
+from repro.xsd.stream import _Facts
 
 
 class _Frame:
@@ -64,42 +77,26 @@ class _Frame:
     __slots__ = (
         "tag",
         "cls",
-        "type_definition",
+        "facts",
         "matcher",
         "structured",
-        "content_type",
-        "has_required",
-        "cinfo",
         "children",
         "text_parts",
         "attributes",
         "element_count",
     )
 
-    def __init__(self, tag, info, attributes, use_tables):
-        (
-            cls,
-            type_definition,
-            structured,
-            dfa,
-            table,
-            content_type,
-            has_required,
-            cinfo,
-        ) = info
+    def __init__(self, tag, cls, facts: _Facts, attributes):
         self.tag = tag
         self.cls = cls
-        self.type_definition = type_definition
-        # The content-model matcher of a structured frame: flat tables,
-        # or the object DFA on the golden reference route.
-        if structured:
-            self.matcher = table.matcher() if use_tables else dfa.matcher()
-        else:
-            self.matcher = None
-        self.structured = structured
-        self.content_type = content_type  # None for simple-typed elements
-        self.has_required = has_required  # any required attribute use?
-        self.cinfo = cinfo  # class-derived constants for _construct
+        self.facts = facts
+        # The content-model matcher of element or mixed content: flat
+        # tables, or the object DFA on the golden reference route.
+        model = facts.model
+        self.matcher = None if model is None else model.matcher()
+        # ``xs:anyType`` keeps its text as mixed content does, one node
+        # per run that is not blank; its child elements are refused.
+        self.structured = model is not None or facts.skip
         self.children = []  # str | TypedElement, in document order
         self.text_parts = []  # all character data in the subtree (leaf only)
         self.attributes = attributes  # as read, ``xmlns`` pairs included
@@ -128,8 +125,7 @@ class _TypedWalk:
         "root",
         "_binding",
         "_schema",
-        "_classes",
-        "_dispatch",
+        "_facts",
         "_use_tables",
         "_stack",
     )
@@ -138,25 +134,36 @@ class _TypedWalk:
         self.root: TypedElement | None = None
         self._binding = binding
         self._schema = binding.schema
-        self._classes = binding.class_by_declaration
-        # Per-declaration dispatch info (see _dispatch_info), computed
-        # once per binding: declarations are interned in the schema, so
-        # ``id`` keys are stable for its lifetime.
-        dispatch = binding.__dict__.get("_ingest_dispatch")
-        if dispatch is None:
-            dispatch = {}
-            binding._ingest_dispatch = dispatch
-        self._dispatch = dispatch
+        # id(declaration) -> (class, facts), one memo per route:
+        # declarations are interned in the schema, so ``id`` keys are
+        # stable for its lifetime.
+        memos = binding.__dict__.get("_ingest_facts")
+        if memos is None:
+            memos = binding._ingest_facts = ({}, {})
+        self._facts = memos[use_tables]
         self._use_tables = use_tables
         self._stack: list[_Frame] = []
+
+    def _learn(self, declaration) -> tuple:
+        """The class and facts of *declaration*, memoized on first sight."""
+        cls = self._binding.class_by_declaration.get(id(declaration))
+        if cls is None:
+            raise VdomTypeError(
+                f"no generated class for declaration '{declaration.name}'"
+            )
+        type_definition = declaration.resolved_type()
+        facts = _Facts(declaration, type_definition, self._schema, self._use_tables)
+        entry = self._facts[id(declaration)] = (cls, facts)
+        return entry
 
     def start(self, name: str, attributes, where) -> None:
         stack = self._stack
         if stack:
             frame = stack[-1]
-            # A leaf frame (simple, EMPTY or simpleContent) has no
-            # content model, so it admits no child element at all.
-            declaration = frame.matcher.step(name) if frame.structured else None
+            # A frame with no content model (simple, EMPTY or
+            # simpleContent, or xs:anyType) admits no child element.
+            matcher = frame.matcher
+            declaration = None if matcher is None else matcher.step(name)
             if declaration is None:
                 raise _misplaced(frame, name)
         else:
@@ -165,19 +172,21 @@ class _TypedWalk:
                 raise VdomTypeError(
                     f"<{name}> is not a global element of the schema"
                 )
-        info = self._dispatch.get(id(declaration))
-        if info is None:
-            info = _dispatch_info(self._schema, self._classes, declaration)
-            self._dispatch[id(declaration)] = info
+        entry = self._facts.get(id(declaration))
+        if entry is None:
+            entry = self._learn(declaration)
+        cls, facts = entry
         if attributes:
             for attribute, value in attributes:
-                if attribute == "xsi:type":  # info[1]: the declared type
-                    refuse_xsi_type(self._schema, info[1], name, value)
-        stack.append(_Frame(name, info, attributes, self._use_tables))
+                if attribute == "xsi:type":
+                    refuse_xsi_type(
+                        self._schema, facts.type_definition, name, value
+                    )
+        stack.append(_Frame(name, cls, facts, attributes))
 
     def end(self, where) -> None:
         stack = self._stack
-        element = _construct(self._binding, stack.pop(), self._use_tables)
+        element = _construct(self._binding, stack.pop())
         if stack:
             parent = stack[-1]
             parent.children.append(element)
@@ -199,10 +208,10 @@ class _TypedWalk:
         """``start``, ``characters`` (when *data* is not empty) and
         ``end`` of one childless element below the root, in one call.
 
-        An element without attributes whose class has a simple type is
-        built whole by :func:`_simple_element`, the branch
-        :func:`_construct` takes for such a frame, with no frame of its
-        own; every other leaf goes through the general handlers.
+        An element without attributes of a simple type is built whole
+        by :func:`_simple_element`, the branch :func:`_construct` takes
+        for such a frame, with no frame of its own; every other leaf
+        goes through the general handlers.
         """
         if attributes:
             self.start(name, attributes, where)
@@ -212,23 +221,21 @@ class _TypedWalk:
             return
         stack = self._stack
         frame = stack[-1]
-        declaration = frame.matcher.step(name) if frame.structured else None
+        matcher = frame.matcher
+        declaration = None if matcher is None else matcher.step(name)
         if declaration is None:
             raise _misplaced(frame, name)
-        info = self._dispatch.get(id(declaration))
-        if info is None:
-            info = _dispatch_info(self._schema, self._classes, declaration)
-            self._dispatch[id(declaration)] = info
-        cinfo = info[7]
-        if cinfo[3]:  # a simple type
+        entry = self._facts.get(id(declaration))
+        if entry is None:
+            entry = self._learn(declaration)
+        cls, facts = entry
+        if facts.simple is facts.type_definition:  # a simple type
             frame.children.append(
-                _simple_element(
-                    self._binding, info[0], cinfo, data, (), self._use_tables
-                )
+                _simple_element(self._binding, cls, facts, name, data, ())
             )
             frame.element_count += 1
             return
-        stack.append(_Frame(name, info, attributes, self._use_tables))
+        stack.append(_Frame(name, cls, facts, attributes))
         if data:
             self.characters(data, data_where)
         self.end(end_where)
@@ -236,7 +243,7 @@ class _TypedWalk:
 
 def _misplaced(frame: _Frame, name: str) -> Exception:
     """Why no child <name> may stand inside *frame*."""
-    if frame.type_definition is ANY_TYPE:
+    if frame.facts.skip:  # xs:anyType
         return UnsupportedFeatureError(any_type_refusal(frame.tag))
     return VdomTypeError(f"<{name}> is not allowed inside <{frame.tag}>")
 
@@ -305,125 +312,31 @@ def fused_parse(
     return walk.root
 
 
-def _dispatch_info(schema, class_by_declaration, declaration) -> tuple:
-    """Build one per-declaration dispatch entry: ``(cls, type_definition,
-    structured, dfa, table, content_type, has_required, cinfo)``.
-
-    Entries live in ``binding._ingest_dispatch`` keyed on
-    ``id(declaration)``, shared by both routes of the typed walk.
-    """
-    cls = class_by_declaration.get(id(declaration))
-    if cls is None:
-        raise VdomTypeError(
-            f"no generated class for declaration '{declaration.name}'"
-        )
-    type_definition = declaration.resolved_type()
-    if isinstance(type_definition, ComplexType):
-        content_type = type_definition.content_type
-        structured = content_type in _STRUCTURED
-        has_required = any(
-            use.required
-            for use in type_definition.effective_attribute_uses().values()
-        )
-    else:
-        content_type = None
-        structured = False
-        has_required = False
-    return (
-        cls,
-        type_definition,
-        structured,
-        schema.content_dfa(type_definition) if structured else None,
-        schema.content_table(type_definition) if structured else None,
-        content_type,
-        has_required,
-        _construct_info(cls),
-    )
-
-
-def _construct_info(cls) -> tuple:
-    """Class-derived constants ``_construct`` would otherwise re-derive
-    per element: the tag, the pre-rendered abstractness rejection (or
-    None), the declared type and its two fast-path classifications, the
-    element-level ``fixed`` value, the attribute tables, and the simple
-    type checking the element's text with that type's accepted-literal
-    memo (None when the type accepts every literal)."""
-    declaration = cls._DECLARATION
-    type_definition = cls._TYPE
-    abstract_error = None
-    if declaration.abstract:
-        abstract_error = (
-            f"element '{declaration.name}' is abstract; construct a "
-            "member of its substitution group instead"
-        )
-    elif isinstance(type_definition, ComplexType) and type_definition.abstract:
-        abstract_error = (
-            f"type '{type_definition.name}' of element "
-            f"'{declaration.name}' is abstract"
-        )
-    lookup, defaults = cls.__dict__.get("_INGEST_ATTRS") or _build_attr_tables(cls)
-    leaf = (
-        type_definition
-        if isinstance(type_definition, SimpleType)
-        else type_definition.simple_content
-    )
-    accepted = None
-    if leaf is not None and not leaf.accepts_everything():
-        accepted = leaf.accepted
-    return (
-        declaration.name,
-        abstract_error,
-        type_definition,
-        isinstance(type_definition, SimpleType),
-        type_definition is ANY_TYPE,
-        declaration.fixed,
-        lookup,
-        defaults,
-        leaf,
-        accepted,
-    )
-
-
-def _construct(binding: Binding, frame: _Frame, use_tables: bool) -> TypedElement:
+def _construct(binding: Binding, frame: _Frame) -> TypedElement:
     """Allocate the typed element for a completed frame.
 
     Mirrors ``TypedElement.__init__`` as driven by ``Binding.from_dom``
     — same checks, same messages, same ordering — but allocates
     directly: names were already validated by the parser (or come from
     the schema), and the content-model DFA was stepped during parsing,
-    so neither is re-run.  On the table route a leaf value that its
-    type accepted before (or any value of a type accepting everything)
-    is not checked again, without a call; the reference route checks
-    every value.
+    so neither is re-run.  The frame's facts say what is left to check;
+    on the table route a leaf value that its type accepted before (or
+    any value of a type accepting everything) is not checked again,
+    without a call, and the reference route checks every value.
 
     The element's one ``weakref.ref`` is the upward link of all its
     children, text nodes and attributes, so the finished tree is no
     reference cycle.
     """
     cls = frame.cls
-    (
-        tag,
-        abstract_error,
-        type_definition,
-        is_simple,
-        is_any,
-        fixed,
-        lookup,
-        defaults,
-        leaf,
-        accepted,
-    ) = frame.cinfo
-    if is_simple:
+    facts = frame.facts
+    tag = frame.tag
+    if facts.simple is facts.type_definition:  # a simple type
         return _simple_element(
-            binding,
-            cls,
-            frame.cinfo,
-            "".join(frame.text_parts),
-            frame.attributes,
-            use_tables,
+            binding, cls, facts, tag, "".join(frame.text_parts), frame.attributes
         )
-    if abstract_error is not None:
-        raise VdomTypeError(abstract_error)
+    if cls._ABSTRACT is not None:
+        raise VdomTypeError(cls._ABSTRACT)
     element = cls.__new__(cls)
     element._owner_document = None
     element._parent_ref = None
@@ -454,21 +367,18 @@ def _construct(binding: Binding, frame: _Frame, use_tables: bool) -> TypedElemen
 
     # Fixed/defaulted attributes first, explicit values second — the
     # explicit value overwrites in place, keeping the default's position,
-    # exactly as repeated set_attribute calls would.  Both tables derive
-    # from ``_ATTRIBUTE_FIELDS`` once per class: ``lookup`` maps every
-    # accepted spelling (python name, XML name) to the install key with
-    # ``_attribute_field``'s precedence, ``defaults`` lists the
-    # fixed/defaulted keys in field order.
-    for key, literal in defaults:
+    # exactly as repeated set_attribute calls would.  Both tables are the
+    # class's own, built at bind time.
+    for key, literal in cls._ATTRIBUTE_DEFAULTS:
         attrs[key] = trusted_attr(key, literal, ref, None)
     for name, value in frame.attributes:
         if name.startswith("xmlns"):
             continue
-        key = lookup.get(name)
+        key = cls._ATTRIBUTE_KEYS.get(name)
         if key is None:
-            if is_any and not name.startswith("xsi:"):
+            if facts.skip and not name.startswith("xsi:"):
                 raise UnsupportedFeatureError(any_type_refusal(tag))
-            element._attribute_field(name)  # raises "has no attribute"
+            raise unknown_attribute(cls, name)
         existing = attrs.get(key)
         if existing is not None:
             existing.value = value
@@ -476,19 +386,22 @@ def _construct(binding: Binding, frame: _Frame, use_tables: bool) -> TypedElemen
             attrs[key] = trusted_attr(key, value, ref, None)
 
     if binding.validate_on_mutate:
-        if not is_any:
+        type_definition = cls._TYPE
+        if type_definition is not facts.type_definition:
+            # A class whose declared type differs from the matched
+            # declaration's: run the full check, exactly as the typed
+            # constructor would.
+            element._check_complex(type_definition)
+        elif not facts.skip:  # xs:anyType content is not checked
+            # With no attributes present and none required, the
+            # attribute check is a proven no-op.
+            if attrs or facts.required:
+                element._check_attributes(type_definition)
             matcher = frame.matcher
-            if matcher is not None and type_definition is frame.type_definition:
+            if matcher is not None:
                 # The live automaton already accepted every child in
-                # order; only the checks it cannot subsume remain.  With
-                # no attributes present and none required, the attribute
-                # check is a proven no-op.
-                if attrs or frame.has_required:
-                    element._check_attributes(type_definition)
-                if (
-                    frame.content_type is ContentType.ELEMENT_ONLY
-                    and has_text
-                ):
+                # order; only the checks it cannot subsume remain.
+                if has_text and facts.text_kind is not None:
                     raise VdomTypeError(
                         f"<{tag}> has element-only content and "
                         "may not contain text"
@@ -508,32 +421,21 @@ def _construct(binding: Binding, frame: _Frame, use_tables: bool) -> TypedElemen
                     len(nodes),
                     matcher.state,
                 )
-            elif not frame.structured and type_definition is frame.type_definition:
-                # Leaf complex frame (EMPTY or SIMPLE content): the checks
-                # of ``_check_complex`` specialized to a childless element
-                # whose text is *data*.
-                if attrs or frame.has_required:
-                    element._check_attributes(type_definition)
-                if frame.content_type is ContentType.EMPTY:
-                    if data.strip(WHITESPACE):
-                        raise VdomTypeError(
-                            f"<{tag}> must be empty"
-                        )
-                elif not use_tables or (
-                    accepted is not None and data not in accepted
-                ):  # ContentType.SIMPLE
+            elif facts.text_kind is not None:  # empty content
+                if data.strip(WHITESPACE):
+                    raise VdomTypeError(f"<{tag}> must be empty")
+            else:  # simple content
+                check = facts.check
+                if check is not None and (
+                    facts.accepted is None or data not in facts.accepted
+                ):
                     try:
-                        (leaf.check if use_tables else leaf.parse)(data)
+                        check(data)
                     except SimpleTypeError as error:
                         raise VdomTypeError(
-                            f"content of <{tag}>: "
-                            f"{error.message}"
+                            f"content of <{tag}>: {error.message}"
                         )
-            else:
-                # A class whose declared type differs from the matched
-                # declaration's: run the full check, exactly as the typed
-                # constructor would.
-                element._check_complex(type_definition)
+        fixed = facts.fixed
         if fixed is not None:
             content = data if not frame.structured else element.text_content
             if content != fixed:
@@ -542,7 +444,7 @@ def _construct(binding: Binding, frame: _Frame, use_tables: bool) -> TypedElemen
 
 
 def _simple_element(
-    binding: Binding, cls, cinfo: tuple, data: str, attributes, use_tables: bool
+    binding: Binding, cls, facts: _Facts, tag: str, data: str, attributes
 ) -> TypedElement:
     """The typed element of a simple type holding text *data*.
 
@@ -553,9 +455,8 @@ def _simple_element(
     declares no attribute, so any attribute but a namespace declaration
     is refused as the typed constructor refuses it.
     """
-    tag, abstract_error, _, _, _, fixed, _, _, leaf, accepted = cinfo
-    if abstract_error is not None:
-        raise VdomTypeError(abstract_error)
+    if cls._ABSTRACT is not None:
+        raise VdomTypeError(cls._ABSTRACT)
     element = cls.__new__(cls)
     element._owner_document = None
     element._parent_ref = None
@@ -569,13 +470,17 @@ def _simple_element(
         element._children = []
     for name, _ in attributes:
         if not name.startswith("xmlns"):
-            element._attribute_field(name)  # raises "has no attribute"
+            raise unknown_attribute(cls, name)
     if binding.validate_on_mutate:
-        if not use_tables or (accepted is not None and data not in accepted):
+        check = facts.check
+        if check is not None and (
+            facts.accepted is None or data not in facts.accepted
+        ):
             try:
-                (leaf.check if use_tables else leaf.parse)(data)
+                check(data)
             except SimpleTypeError as error:
                 raise VdomTypeError(f"content of <{tag}>: {error.message}")
+        fixed = facts.fixed
         if fixed is not None and data != fixed:
             raise _not_fixed(tag, fixed)
     return element
@@ -583,31 +488,3 @@ def _simple_element(
 
 def _not_fixed(tag: str, fixed: str) -> VdomTypeError:
     return VdomTypeError(f"element '{tag}' must have the fixed value {fixed!r}")
-
-
-def _build_attr_tables(cls) -> tuple[dict[str, str], tuple[tuple[str, str], ...]]:
-    """Derive and cache the per-class attribute tables on *cls*.
-
-    ``lookup`` replicates ``TypedElement._attribute_field``'s precedence:
-    python names win outright; XML spellings fall to the first field (in
-    declaration order) accepting them.
-    """
-    fields = cls._ATTRIBUTE_FIELDS
-    lookup: dict[str, str] = {}
-    for python_name, attr_field in fields.items():
-        lookup[python_name] = attr_field.xml_name or attr_field.name
-    for attr_field in fields.values():
-        install_key = attr_field.xml_name or attr_field.name
-        for spelling in (attr_field.xml_name, attr_field.name):
-            if spelling:
-                lookup.setdefault(spelling, install_key)
-    defaults = tuple(
-        (
-            attr_field.xml_name or attr_field.name,
-            attr_field.fixed if attr_field.fixed is not None else attr_field.default,
-        )
-        for attr_field in fields.values()
-        if attr_field.fixed is not None or attr_field.default is not None
-    )
-    cls._INGEST_ATTRS = (lookup, defaults)
-    return cls._INGEST_ATTRS

@@ -28,7 +28,7 @@ from typing import Any, Callable
 
 from repro import obs
 from repro.errors import SimpleTypeError, VdomTypeError
-from repro.xsd.components import ANY_TYPE, ComplexType, ContentType
+from repro.xsd.components import ComplexType, ContentType
 from repro.xsd.simple import SimpleType
 from repro.core.vdom import lexicalize
 from repro.xml.chars import ILLEGAL_CHAR, WHITESPACE, illegal_char
@@ -338,26 +338,21 @@ class _SegmentBuilder:
     # -- attributes ---------------------------------------------------------
 
     def _attributes(self, node: TemplateElement, cls: type) -> None:
-        fields = cls._ATTRIBUTE_FIELDS
+        keys = cls._ATTRIBUTE_KEYS
         # dict assignment mirrors Element.set_attribute: a template value
         # overriding a default keeps the default's position.
-        ordered: dict[str, list[RunPart]] = {}
-        for field in fields.values():
-            xml_name = field.xml_name or field.name
-            if field.fixed is not None:
-                ordered[xml_name] = [("lit", field.fixed)]
-            elif field.default is not None:
-                ordered[xml_name] = [("lit", field.default)]
+        ordered: dict[str, list[RunPart]] = {
+            key: [("lit", literal)] for key, literal in cls._ATTRIBUTE_DEFAULTS
+        }
         for attribute in node.attributes:
-            field = self._field_for(fields, attribute.name)
-            xml_name = field.xml_name or field.name
-            parts: list[RunPart] = []
-            for part in attribute.parts:
-                if isinstance(part, str):
-                    parts.append(("lit", part))
-                else:
-                    parts.append(("hole", part.name))
-            ordered[xml_name] = parts
+            key = keys.get(attribute.name)
+            if key is None:
+                # Undeclared attribute: render() raises a matching error.
+                raise _Unsupported("undeclared template attribute")
+            ordered[key] = [
+                ("lit", part) if isinstance(part, str) else ("hole", part.name)
+                for part in attribute.parts
+            ]
         for xml_name, parts in ordered.items():
             self._lit(f' {xml_name}="')
             if all(kind == "lit" for kind, _ in parts):
@@ -369,17 +364,6 @@ class _SegmentBuilder:
             else:
                 self._run(parts, "attr", cls, ("attr", xml_name))
             self._lit('"')
-
-    @staticmethod
-    def _field_for(fields: dict[str, Any], name: str):
-        """Mirror ``TypedElement._attribute_field`` resolution."""
-        if name in fields:
-            return fields[name]
-        for field in fields.values():
-            if field.xml_name == name or field.name == name:
-                return field
-        # Undeclared attribute: render() raises a matching error, use it.
-        raise _Unsupported("undeclared template attribute")
 
 
 # -- cache (de)hydration -------------------------------------------------------

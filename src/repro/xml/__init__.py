@@ -18,7 +18,7 @@ from repro.xml.events import (
     XmlDeclaration,
 )
 from repro.xml.parser import PullParser, iter_events, parse_events
-from repro.xml.qname import QName, split_qname
+from repro.xml.qname import split_qname
 from repro.xml.serializer import attribute_string, start_tag
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "EndElement",
     "ProcessingInstruction",
     "PullParser",
-    "QName",
     "StartElement",
     "XmlDeclaration",
     "attribute_string",

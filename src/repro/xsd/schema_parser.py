@@ -92,6 +92,12 @@ _FACET_NAMES = {
 _FORMS = ("qualified", "unqualified")
 
 
+def _optional(node: Element, name: str) -> str | None:
+    """Attribute *name* of *node*, or None when absent: an empty value
+    (``fixed=""``) is a value."""
+    return node.get_attribute(name) if node.has_attribute(name) else None
+
+
 def _resolve_schema_location(location: str, base: str | None) -> tuple[str, str]:
     """Default resolver: *location* as a path relative to *base*'s directory."""
     candidate = location
@@ -724,8 +730,8 @@ class _DocParser:
             is_global=is_global,
             abstract=node.get_attribute("abstract") == "true",
             substitution_group=head_key,
-            default=node.get_attribute("default") or None,
-            fixed=node.get_attribute("fixed") or None,
+            default=_optional(node, "default"),
+            fixed=_optional(node, "fixed"),
             target_namespace=target,
         )
         inline_children = self._xsd_children(node)
@@ -917,8 +923,17 @@ class _DocParser:
                     f"attribute reference '{reference}' has no global "
                     f"declaration ('{key}')"
                 )
-            default = node.get_attribute("default") or declaration.default
-            fixed = node.get_attribute("fixed") or declaration.fixed
+            # A use's own default or fixed value replaces the
+            # declaration's pair, but may not loosen a fixed value.
+            default = _optional(node, "default")
+            fixed = _optional(node, "fixed")
+            if default is None and fixed is None:
+                default, fixed = declaration.default, declaration.fixed
+            elif declaration.fixed not in (None, fixed):
+                raise SchemaError(
+                    f"attribute reference '{reference}' must keep its "
+                    f"declaration's fixed value {declaration.fixed!r}"
+                )
             return self._build_attribute_use(
                 declaration, use_kind, default, fixed
             )
@@ -937,8 +952,8 @@ class _DocParser:
             ),
         )
         self._fill_attribute_type(declaration, node)
-        default = node.get_attribute("default") or None
-        fixed = node.get_attribute("fixed") or None
+        default = _optional(node, "default")
+        fixed = _optional(node, "fixed")
         return self._build_attribute_use(declaration, use_kind, default, fixed)
 
     def _build_attribute_use(
@@ -949,11 +964,11 @@ class _DocParser:
         fixed: str | None,
     ) -> AttributeUse:
         name = declaration.name
-        if default and fixed:
+        if default is not None and fixed is not None:
             raise SchemaError(
                 f"attribute '{name}' has both a default and a fixed value"
             )
-        if use_kind == "required" and default:
+        if use_kind == "required" and default is not None:
             raise SchemaError(
                 f"required attribute '{name}' may not carry a default"
             )
@@ -1012,9 +1027,9 @@ class _DocParser:
             target_namespace=self.target_namespace,
         )
         self._fill_attribute_type(declaration, node)
-        declaration.default = node.get_attribute("default") or None
-        declaration.fixed = node.get_attribute("fixed") or None
-        if declaration.default and declaration.fixed:
+        declaration.default = _optional(node, "default")
+        declaration.fixed = _optional(node, "fixed")
+        if declaration.default is not None and declaration.fixed is not None:
             raise SchemaError(
                 f"attribute '{name}' has both a default and a fixed value"
             )

@@ -22,10 +22,11 @@ SCHEMA = """
 """
 
 
-def test_format_version_is_seven():
+def test_format_version_is_eight():
     # 6: the generated ``render_text`` takes one mapping of hole values.
     # 7: it checks every run, untyped text holes for ``Char`` included.
-    assert CACHE_FORMAT_VERSION == 7
+    # 8: schema artifacts keep an empty ``fixed`` or ``default`` value.
+    assert CACHE_FORMAT_VERSION == 8
 
 
 def test_fingerprint_changes_with_format_version(monkeypatch):

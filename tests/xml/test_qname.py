@@ -1,15 +1,9 @@
-"""Qualified names and namespace contexts."""
+"""Splitting qualified names."""
 
 import pytest
 
 from repro.errors import XmlSyntaxError
-from repro.xml.qname import (
-    NamespaceContext,
-    QName,
-    XML_NAMESPACE,
-    XSD_NAMESPACE,
-    split_qname,
-)
+from repro.xml.qname import split_qname
 
 
 class TestSplitQName:
@@ -26,59 +20,3 @@ class TestSplitQName:
             split_qname(":x")
         with pytest.raises(XmlSyntaxError):
             split_qname("1x")
-
-
-class TestQName:
-    def test_clark_notation(self):
-        qname = QName(XSD_NAMESPACE, "element", "xsd")
-        assert qname.clark == "{http://www.w3.org/2001/XMLSchema}element"
-
-    def test_clark_without_namespace(self):
-        assert QName(None, "x").clark == "x"
-
-    def test_str_uses_prefix(self):
-        assert str(QName(XSD_NAMESPACE, "element", "xsd")) == "xsd:element"
-        assert str(QName(None, "e")) == "e"
-
-
-class TestNamespaceContext:
-    def test_default_namespace(self):
-        context = NamespaceContext()
-        context.push((("xmlns", "http://example.com"),))
-        assert context.resolve("a").namespace == "http://example.com"
-
-    def test_prefixed_resolution(self):
-        context = NamespaceContext()
-        context.push((("xmlns:x", "http://x"),))
-        qname = context.resolve("x:a")
-        assert qname.namespace == "http://x"
-        assert qname.local_name == "a"
-
-    def test_attribute_ignores_default_namespace(self):
-        context = NamespaceContext()
-        context.push((("xmlns", "http://example.com"),))
-        assert context.resolve("a", is_attribute=True).namespace is None
-
-    def test_nested_rebinding_and_pop(self):
-        context = NamespaceContext()
-        context.push((("xmlns:x", "http://outer"),))
-        context.push((("xmlns:x", "http://inner"),))
-        assert context.resolve("x:a").namespace == "http://inner"
-        context.pop()
-        assert context.resolve("x:a").namespace == "http://outer"
-
-    def test_xml_prefix_is_predeclared(self):
-        context = NamespaceContext()
-        context.push(())
-        assert context.resolve("xml:lang").namespace == XML_NAMESPACE
-
-    def test_undeclared_prefix_raises(self):
-        context = NamespaceContext()
-        context.push(())
-        with pytest.raises(XmlSyntaxError):
-            context.resolve("nope:a")
-
-    def test_unbinding_prefix_rejected(self):
-        context = NamespaceContext()
-        with pytest.raises(XmlSyntaxError):
-            context.push((("xmlns:x", ""),))

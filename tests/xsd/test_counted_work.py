@@ -52,9 +52,9 @@ def _documents():
 DOCUMENTS = {name: (schema, text) for name, schema, text in _documents()}
 
 
-def python_calls(validator: StreamingValidator, text: str) -> int:
-    """Python-level calls of one ``validate_text`` of *text*, after two
-    walks that fill the validator's memos, with observation off."""
+def warm_calls(function, *args) -> int:
+    """Python-level calls of ``function(*args)``, after two calls that
+    fill every memo it keeps, with observation off."""
     was_enabled = obs.enabled()
     obs.disable()
     calls = 0
@@ -66,17 +66,23 @@ def python_calls(validator: StreamingValidator, text: str) -> int:
 
     previous = sys.getprofile()
     try:
-        assert validator.validate_text(text) == []
-        validator.validate_text(text)
+        function(*args)
+        function(*args)
         sys.setprofile(profile)
         try:
-            validator.validate_text(text)
+            function(*args)
         finally:
             sys.setprofile(previous)
     finally:
         if was_enabled:
             obs.enable()
     return calls
+
+
+def python_calls(validator: StreamingValidator, text: str) -> int:
+    """Python-level calls of one warm ``validate_text`` of *text*."""
+    assert validator.validate_text(text) == []
+    return warm_calls(validator.validate_text, text)
 
 
 def test_every_valid_instance_is_counted():
