@@ -434,12 +434,15 @@ class _Generator:
                 self._element_keys[cache_key] = existing_key
                 return existing
         short_name = f"{declaration.name}Element"
-        key = short_name if owner_key is None else f"{owner_key}.{short_name}"
-        if key in self._model:
-            # Two local elements with the same name under one owner can
-            # only be one declaration repeated; reuse it.
-            self._element_keys[cache_key] = key
-            return self._model[key]
+        prefix = "" if owner_key is None else f"{owner_key}."
+        key = prefix + short_name
+        counter = 2
+        while key in self._model:
+            # Another element of this name under one owner that differs
+            # in type or fixed value: it gets its own interface and class.
+            short_name = f"{declaration.name}{counter}Element"
+            key = prefix + short_name
+            counter += 1
         interface = Interface(
             key=key,
             name=short_name,

@@ -868,6 +868,10 @@ class Binding:
             method = f"create_{snake_case(class_case(owner))}_" + snake_case(
                 interface.declaration.name
             )
+        base, counter = method, 2
+        while method in self._factory_methods:
+            method = f"{base}{counter}"
+            counter += 1
         self._factory_methods[method] = cls
         self.factory_method_by_class[cls] = method
 

@@ -12,13 +12,14 @@ the same refusal, the same attributes in the same order, and the same
 import pytest
 
 from repro.core import bind
+from repro.dom import parse_document
 from repro.dom.serialize import serialize
 from repro.errors import VdomTypeError
 from repro.ingest import fused_parse, legacy_parse, parse_typed
 from repro.pxml import Template
 from repro.schemas import PURCHASE_ORDER_DOCUMENT, PURCHASE_ORDER_SCHEMA
 from repro.schemas.variants import ABSTRACT_HEAD_SCHEMA
-from repro.xsd import StreamingValidator
+from repro.xsd import SchemaValidator, StreamingValidator
 
 ABSTRACT_TYPE_SCHEMA = """\
 <xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
@@ -69,6 +70,21 @@ SHARED_NAME_SCHEMA = """\
             <xsd:element name="v" type="xsd:string"/>
           </xsd:sequence></xsd:complexType>
         </xsd:element>
+      </xsd:sequence>
+    </xsd:complexType>
+  </xsd:element>
+</xsd:schema>
+"""
+
+#: the same pair under one owner (legal: XSD's Element Declarations
+#: Consistent asks only for one type)
+ONE_OWNER_SCHEMA = """\
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="r">
+    <xsd:complexType>
+      <xsd:sequence>
+        <xsd:element name="v" type="xsd:string" fixed="a"/>
+        <xsd:element name="v" type="xsd:string"/>
       </xsd:sequence>
     </xsd:complexType>
   </xsd:element>
@@ -225,3 +241,64 @@ def test_local_declarations_keep_their_own_fixed_value():
         with pytest.raises(VdomTypeError) as caught:
             route(binding, invalid)
         assert str(caught.value) == "element 'v' must have the fixed value 'a'", name
+
+
+def test_one_owner_keeps_each_declarations_fixed_value():
+    """Two declarations of one name and type under one owner that differ
+    in their fixed value get a class each, both registered, so every
+    typed builder accepts and refuses what the validators do."""
+    binding = bind(ONE_OWNER_SCHEMA)
+    factory = binding.factory
+    valid = ["<r><v>a</v><v>b</v></r>", "<r><v>a</v><v>a</v></r>"]
+    invalid = "<r><v>b</v><v>a</v></r>"
+    refusal = "element 'v' must have the fixed value 'a'"
+    streaming = StreamingValidator(binding.schema)
+    dom = SchemaValidator(binding.schema)
+    for document in valid:
+        assert streaming.validate_text(document) == [], document
+        assert dom.validate(parse_document(document)) == [], document
+        for name, route in INGEST_ROUTES.items():
+            assert serialize(route(binding, document)) == document, name
+    assert len(streaming.validate_text(invalid)) == 1
+    assert len(dom.validate(parse_document(invalid))) == 1
+    for name, route in INGEST_ROUTES.items():
+        with pytest.raises(VdomTypeError) as caught:
+            route(binding, invalid)
+        assert str(caught.value) == refusal, name
+    second = factory.create_r_type_type_v
+    for document, last in zip(valid, ("b", "a")):
+        built = factory.create_r(factory.create_v("a"), second(last))
+        assert serialize(built) == document
+    with pytest.raises(VdomTypeError) as caught:
+        factory.create_r(factory.create_v("b"), second("a"))
+    assert str(caught.value) == refusal
+    with pytest.raises(VdomTypeError) as caught:
+        factory.create_r(second("b"), factory.create_v("a"))
+    assert str(caught.value) == (
+        "child <v> of <r> was built for a different declaration of that name"
+    )
+
+
+def test_one_owner_third_declaration_gets_its_own_factory_method():
+    """A third such declaration under the owner takes a numbered factory
+    method instead of replacing the second one's."""
+    binding = bind(
+        ONE_OWNER_SCHEMA.replace(
+            '<xsd:element name="v" type="xsd:string"/>',
+            '<xsd:element name="v" type="xsd:string"/>'
+            '<xsd:element name="v" type="xsd:string" fixed="c"/>',
+        )
+    )
+    factory = binding.factory
+    document = "<r><v>a</v><v>b</v><v>c</v></r>"
+    built = factory.create_r(
+        factory.create_v("a"),
+        factory.create_r_type_type_v("b"),
+        factory.create_r_type_type_v2("c"),
+    )
+    assert serialize(built) == document
+    for name, route in INGEST_ROUTES.items():
+        assert serialize(route(binding, document)) == document, name
+        with pytest.raises(VdomTypeError) as caught:
+            route(binding, "<r><v>a</v><v>b</v><v>b</v></r>")
+        assert str(caught.value) == "element 'v' must have the fixed value 'c'"
